@@ -202,7 +202,8 @@ let micro () =
    output assembly — on random packed matrices at 4/5/6 side variables,
    for BOTH implementations (C stubs and the pure-OCaml fallback), so a
    regression in either shows up regardless of which one STP_KERNELS
-   selects. Written to BENCH_kernels.json for the CI smoke check. *)
+   selects. Then ns/op of [Npn.canonical] at 3-6 variables. Written to
+   BENCH_kernels.json for the CI smoke check. *)
 
 let kernels () =
   let module Kern = Stp_matrix.Kern in
@@ -283,6 +284,30 @@ let kernels () =
       in
       List.iter per_op [ "distinct_rows"; "compat"; "force"; "assemble" ])
     [ 4; 5; 6 ];
+  (* Exhaustive NPN canonicalisation, the per-cut kernel of the NPN
+     cache and the rewriter; pure OCaml, so one column. *)
+  Format.printf "@.%-14s %4s  %10s@." "op" "vars" "ocaml";
+  List.iter
+    (fun (vars, iters) ->
+      let tables =
+        Array.init 16 (fun _ ->
+            Stp_tt.Tt.of_fun vars (fun _ -> Random.State.bool st))
+      in
+      let i = ref 0 in
+      let ns =
+        time_ns iters (fun () ->
+            let rep, _ = Stp_tt.Npn.canonical tables.(!i land 15) in
+            incr i;
+            sink := !sink + Stp_tt.Tt.hash rep)
+      in
+      blocks :=
+        Obj
+          [ ("op", String "npn_canonical"); ("vars", Int vars);
+            ("impl", String "ocaml"); ("iters", Int iters);
+            ("ns_per_op", Float ns) ]
+        :: !blocks;
+      Format.printf "%-14s %4d  %10.1f@." "npn_canonical" vars ns)
+    [ (3, 200_000); (4, 50_000); (5, 5_000); (6, 200) ];
   let json =
     Obj
       [ ("source", String "bench/main --kernels");

@@ -47,31 +47,13 @@ let mix x =
   let x = logxor x (shift_right_logical x 31) in
   to_int x land Stdlib.max_int
 
-(* Exact canonicalisation costs 2^n * n! * 2 transform applications —
-   fine once, not per request at n >= 5. The front-end memoises per
-   concrete function; repeated hot-class members hit the memo. *)
-let canon_memo : (int * string, Tt.t) Hashtbl.t = Hashtbl.create 4096
-
-let canon_memo_cap = 65536
-
-let memo_canonical tt =
-  let k = (Tt.num_vars tt, Tt.to_hex tt) in
-  match Hashtbl.find_opt canon_memo k with
-  | Some c -> c
-  | None ->
-    let c = fst (Npn.canonical tt) in
-    if Hashtbl.length canon_memo >= canon_memo_cap then
-      Hashtbl.reset canon_memo;
-    Hashtbl.add canon_memo k c;
-    c
-
 let shard_of ~shards tt =
   if shards <= 1 then 0
   else
     let h =
       let n = Tt.num_vars tt in
       if n = 4 then mix (Npn.canon4 (Tt.to_int tt))
-      else if n <= 6 then mix (Tt.hash (memo_canonical tt))
+      else if n <= Npn.max_arity then mix (Tt.hash (fst (Npn.canonical tt)))
       else mix (Tt.hash tt) (* beyond canonicalisation: no class affinity *)
     in
     h mod shards

@@ -21,10 +21,10 @@ type t = {
   mutable failures : int;
 }
 
-let create ?(max_support = 6) () =
+let create ?(max_support = Npn.max_arity) () =
   { lock = Mutex.create ();
     table = Hashtbl.create 997;
-    max_support;
+    max_support = min max_support Npn.max_arity;
     hits = 0;
     misses = 0;
     bypassed = 0;

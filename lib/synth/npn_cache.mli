@@ -25,9 +25,9 @@
     since solvability under a wall-clock budget is not a class
     property.
 
-    Functions whose support exceeds [max_support] (default 6, the
-    practical bound of exhaustive canonicalisation) bypass the cache
-    and are solved directly.
+    Functions whose support exceeds [max_support] (default and upper
+    bound {!Stp_tt.Npn.max_arity}, the arity limit of exhaustive
+    canonicalisation) bypass the cache and are solved directly.
 
     Entries can be exported ({!entries}) and re-imported
     ({!add_entry}), which is how {!Stp_store.Store} persists a cache

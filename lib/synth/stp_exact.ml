@@ -213,6 +213,8 @@ let synthesize_npn ?(options = Spec.default_options) ?memo f =
   match Common.prepare f with
   | `Trivial chain ->
     Spec.solved ~chains:[ chain ] ~gates:0 ~elapsed:(elapsed ())
+  | `Reduced (target, _) when Tt.num_vars target > Stp_tt.Npn.max_arity ->
+    synthesize ~options ?memo f
   | `Reduced (target, support) -> (
     let n = Tt.num_vars f in
     let canon, tr = Stp_tt.Npn.canonical target in

@@ -37,6 +37,7 @@ val synthesize_npn :
 (** Like {!synthesize}, but canonicalises the target's NPN class first
     and maps the solutions back — cheaper when many equivalent functions
     are synthesised, and a direct use of the paper's NPN reduction.
-    Practical for targets of at most 6 support variables. For reuse of
+    Targets of more than {!Stp_tt.Npn.max_arity} support variables are
+    synthesised directly, as by {!synthesize}. For reuse of
     the canonical class's solutions across a whole run, see
     {!Npn_cache}. *)

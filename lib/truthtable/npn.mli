@@ -6,8 +6,13 @@
     table (w.r.t. {!Tt.compare}) over the whole orbit, so canonicity is a
     simple equality test.
 
-    Exhaustive canonicalisation enumerates all [2^n * n! * 2] transforms
-    and is practical for [n <= 6]. *)
+    Canonicalisation is exhaustive over all [2^n * n! * 2] transforms,
+    computed on a single 64-bit word per image rather than on {!Tt.t}
+    values: per permutation the permuted table is built once and its
+    [2^n] input-negated variants are derived by one variable swap each.
+    One call costs about 6 us at [n = 4], 50 us at [n = 5] and 0.4 ms
+    at [n = 6] (the [npn_canonical] rows of [BENCH_kernels.json]), so
+    5- and 6-input cuts are practical; arities above 6 are refused. *)
 
 type transform = {
   perm : int array;  (** input permutation; see {!apply} *)
@@ -26,10 +31,16 @@ val apply : Tt.t -> transform -> Tt.t
 val inverse : transform -> transform
 (** [inverse tr] undoes [tr]: [apply (apply t tr) (inverse tr) = t]. *)
 
+val max_arity : int
+(** Largest arity {!canonical} accepts (6). *)
+
 val canonical : Tt.t -> Tt.t * transform
 (** [canonical t] is the class representative [r] together with a
-    transform [tr] such that [apply t tr = r]. Practical for
-    [Tt.num_vars t <= 6]. *)
+    transform [tr] such that [apply t tr = r]: the first transform, in
+    the order permutation (as listed by {!permutations}), then output
+    flag ([false] first), then input mask (ascending), whose image is
+    minimal; the identity when [t] is itself minimal.
+    @raise Invalid_argument when [Tt.num_vars t > max_arity]. *)
 
 val is_canonical : Tt.t -> bool
 

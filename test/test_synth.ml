@@ -465,6 +465,24 @@ let test_synthesize_npn_agrees () =
     end
   done
 
+let test_synthesize_npn_wide () =
+  (* beyond canonicalisation arity the NPN variant solves directly *)
+  let v i = Tt.var 7 i in
+  let f =
+    Tt.bxor (Tt.band (Tt.bor (v 0) (v 1)) (v 2))
+      (Tt.bor (Tt.band (v 3) (v 4)) (Tt.bxor (v 5) (v 6)))
+  in
+  let options = Spec.with_timeout 30.0 in
+  let direct = Stp_exact.synthesize ~options f in
+  let via_npn = Stp_exact.synthesize_npn ~options f in
+  check_solved "npn" via_npn;
+  Alcotest.(check int) "same optimum" (gates_of direct) (gates_of via_npn);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) "npn chain simulates" true
+        (Tt.equal (Chain.simulate c) f))
+    via_npn.Spec.chains
+
 let test_fdsd6_optimum () =
   (* a read-once 6-input function must synthesise at n-1 gates *)
   let f =
@@ -512,6 +530,7 @@ let () =
           Alcotest.test_case "support reduction" `Quick test_support_reduction;
           Alcotest.test_case "timeout" `Quick test_timeout_reported;
           Alcotest.test_case "npn variant" `Slow test_synthesize_npn_agrees;
+          Alcotest.test_case "npn variant, 7 inputs" `Quick test_synthesize_npn_wide;
           Alcotest.test_case "fdsd6 optimum" `Slow test_fdsd6_optimum ] );
       ( "baselines",
         [ Alcotest.test_case "known optima" `Slow test_baselines_known_optima;

@@ -185,13 +185,101 @@ let test_npn_inverse_roundtrip () =
   done
 
 let test_npn_canon4_table () =
-  let rng = Prng.create 5 in
-  for _ = 1 to 20 do
-    let f = random_tt rng 4 in
-    let expected, _ = Npn.canonical f in
-    Alcotest.(check int) "table matches exhaustive" (Tt.to_int expected)
-      (Npn.canon4 (Tt.to_int f))
+  for v = 0 to (1 lsl 16) - 1 do
+    let rep, _ = Npn.canonical (Tt.of_int 4 v) in
+    if Npn.canon4 v <> Tt.to_int rep then
+      Alcotest.failf "canon4 %04x = %04x, canonical gives %04x" v (Npn.canon4 v)
+        (Tt.to_int rep)
   done
+
+(* Reference for [Npn.canonical]: apply every transform, in
+   [Npn.permutations] x output flag x input mask order, with [Npn.apply]
+   and keep the first strict minimum. The word-level implementation
+   must return the same representative and transform. *)
+module Oracle = struct
+  let all_transforms n =
+    List.concat_map
+      (fun perm ->
+        List.concat_map
+          (fun output_neg ->
+            List.init (1 lsl n) (fun input_neg -> { Npn.perm; input_neg; output_neg }))
+          [ false; true ])
+      (Npn.permutations n)
+
+  let canonical t =
+    let n = Tt.num_vars t in
+    let best = ref t and best_tr = ref (Npn.identity n) in
+    List.iter
+      (fun tr ->
+        let cand = Npn.apply t tr in
+        if Tt.compare cand !best < 0 then begin
+          best := cand;
+          best_tr := tr
+        end)
+      (all_transforms n);
+    (!best, !best_tr)
+end
+
+let check_against_oracle f =
+  let rep, tr = Npn.canonical f in
+  let rep', tr' = Oracle.canonical f in
+  let name = Tt.to_hex f in
+  Alcotest.(check (tt_testable 0)) ("rep " ^ name) rep' rep;
+  Alcotest.(check (array int)) ("perm " ^ name) tr'.Npn.perm tr.Npn.perm;
+  Alcotest.(check int) ("input_neg " ^ name) tr'.input_neg tr.input_neg;
+  Alcotest.(check bool) ("output_neg " ^ name) tr'.output_neg tr.output_neg
+
+let test_npn_oracle_small () =
+  for n = 0 to 3 do
+    for v = 0 to (1 lsl (1 lsl n)) - 1 do
+      check_against_oracle (Tt.of_int n v)
+    done
+  done
+
+let random_transform rng n =
+  let perm = Array.init n Fun.id in
+  Prng.shuffle rng perm;
+  { Npn.perm; input_neg = Prng.int rng (1 lsl n); output_neg = Prng.bool rng }
+
+let test_npn_oracle_4 () =
+  let rng = Prng.create 12 in
+  for _ = 1 to 2000 do
+    check_against_oracle (Tt.of_int 4 (Prng.int rng (1 lsl 16)))
+  done;
+  (* a random member of every class, so each class's tie-breaking runs *)
+  List.iter
+    (fun rep -> check_against_oracle (Npn.apply rep (random_transform rng 4)))
+    (Npn.classes 4)
+
+let test_npn_oracle_wide () =
+  let rng = Prng.create 13 in
+  for _ = 1 to 8 do
+    check_against_oracle (random_tt rng 5)
+  done;
+  (* structured members too: ties between transforms are common when a
+     function has symmetries *)
+  check_against_oracle (Tt.band (Tt.var 5 0) (Tt.bxor (Tt.var 5 3) (Tt.var 5 4)));
+  for _ = 1 to 2 do
+    check_against_oracle (random_tt rng 6)
+  done;
+  check_against_oracle (Tt.bor (Tt.var 6 5) (Tt.band (Tt.var 6 1) (Tt.var 6 2)));
+  (* the top bit set: one-word tables compare as signed 64-bit words *)
+  check_against_oracle (Tt.set (Tt.zero 6) 63 true)
+
+let test_npn_apply_reaches_rep () =
+  let rng = Prng.create 14 in
+  for n = 0 to 6 do
+    for _ = 1 to (if n = 6 then 3 else 40) do
+      let f = random_tt rng n in
+      let rep, tr = Npn.canonical f in
+      Alcotest.(check (tt_testable n)) "apply f tr = rep" rep (Npn.apply f tr)
+    done
+  done
+
+let test_npn_arity_bound () =
+  Alcotest.check_raises "7 variables"
+    (Invalid_argument "Npn.canonical: 7 variables, at most 6 supported")
+    (fun () -> ignore (Npn.canonical (Tt.var 7 0)))
 
 let test_dsd_kinds () =
   let maj = Tt.of_hex ~n:3 "e8" in
@@ -328,6 +416,11 @@ let () =
             test_npn_canonical_invariance;
           Alcotest.test_case "inverse roundtrip" `Quick test_npn_inverse_roundtrip;
           Alcotest.test_case "canon4 table" `Slow test_npn_canon4_table;
+          Alcotest.test_case "oracle n<=3" `Quick test_npn_oracle_small;
+          Alcotest.test_case "oracle n=4" `Quick test_npn_oracle_4;
+          Alcotest.test_case "oracle n=5,6" `Slow test_npn_oracle_wide;
+          Alcotest.test_case "apply reaches rep" `Quick test_npn_apply_reaches_rep;
+          Alcotest.test_case "arity bound" `Quick test_npn_arity_bound;
           QCheck_alcotest.to_alcotest qcheck_npn_apply_preserves_class_size ] );
       ( "pla",
         [ Alcotest.test_case "basic" `Quick test_pla_parse_basic;

@@ -197,13 +197,11 @@ let micro () =
 
 (* --- kernel microbenchmarks (--kernels) ---
 
-   ns/op for the four hot Kern operations — quartering (distinct_rows),
-   block compatibility, forced-value propagation (force + undo) and
-   output assembly — on random packed matrices at 4/5/6 side variables,
-   for BOTH implementations (C stubs and the pure-OCaml fallback), so a
-   regression in either shows up regardless of which one STP_KERNELS
-   selects. Then ns/op of [Npn.canonical] at 3-6 variables. Written to
-   BENCH_kernels.json for the CI smoke check. *)
+   ns/op for the two hot Kern operations — forced-value propagation
+   (force + undo) and output assembly — on random rows at 4/5/6 side
+   variables, for the C stubs the solver runs and the pure-OCaml
+   reference. Then ns/op of [Npn.canonical] at 3-6 variables. Written
+   to BENCH_kernels.json for the CI smoke check. *)
 
 let kernels () =
   let module Kern = Stp_matrix.Kern in
@@ -231,16 +229,13 @@ let kernels () =
   in
   let sink = ref 0 in
   let blocks = ref [] in
-  Format.printf "=== Kern microbenchmarks (ns/op, %s selected at runtime) ===@.@."
+  Format.printf "=== Kern microbenchmarks (ns/op, the solver runs %s) ===@.@."
     Kern.impl_name;
   Format.printf "%-14s %4s  %10s %10s@." "op" "vars" "c" "ocaml";
   List.iter
     (fun vars ->
       let bits = 1 lsl vars in
       let w = (bits + 63) / 64 in
-      let rows = 16 in
-      let mat = rand_bytes (rows * w) in
-      let ta = rand_bytes (2 * w) and tb = rand_bytes (2 * w) in
       let frows = rand_bytes (2 * w) in
       let state = Bytes.make (2 * w * 8) '\000' in
       let newly = Bytes.create (w * 8) in
@@ -254,10 +249,6 @@ let kernels () =
               let module K = (val ops : Kern.OPS) in
               let iters, f =
                 match op with
-                | "distinct_rows" ->
-                  (200_000, fun () -> sink := !sink + K.distinct_rows mat rows w 3)
-                | "compat" ->
-                  (500_000, fun () -> if K.compat ta 0 tb 0 w then incr sink)
                 | "force" ->
                   ( 200_000,
                     fun () ->
@@ -282,7 +273,7 @@ let kernels () =
         | [ c; ml ] -> Format.printf "%-14s %4d  %10.1f %10.1f@." op vars c ml
         | _ -> assert false
       in
-      List.iter per_op [ "distinct_rows"; "compat"; "force"; "assemble" ])
+      List.iter per_op [ "force"; "assemble" ])
     [ 4; 5; 6 ];
   (* Exhaustive NPN canonicalisation, the per-cut kernel of the NPN
      cache and the rewriter; pure OCaml, so one column. *)

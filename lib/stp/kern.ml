@@ -1,17 +1,6 @@
-type impl = C | Ocaml
-
-let impl =
-  match Sys.getenv_opt "STP_KERNELS" with
-  | Some s when String.lowercase_ascii s = "ocaml" -> Ocaml
-  | _ -> C
-
-let impl_name = match impl with C -> "c" | Ocaml -> "ocaml"
+let impl_name = "c"
 
 module type OPS = sig
-  val popcount : Bytes.t -> int -> int -> int
-  val equal_rows : Bytes.t -> int -> Bytes.t -> int -> int -> bool
-  val compat : Bytes.t -> int -> Bytes.t -> int -> int -> bool
-  val distinct_rows : Bytes.t -> int -> int -> int -> int
   val first_unset : Bytes.t -> int -> int -> int
   val is_const_row : Bytes.t -> int -> int -> bool
   val force :
@@ -23,21 +12,6 @@ module type OPS = sig
 end
 
 module C_ops : OPS = struct
-  external popcount : Bytes.t -> int -> int -> int = "stp_kern_popcount"
-    [@@noalloc]
-
-  external equal_rows : Bytes.t -> int -> Bytes.t -> int -> int -> bool
-    = "stp_kern_equal_rows"
-    [@@noalloc]
-
-  external compat : Bytes.t -> int -> Bytes.t -> int -> int -> bool
-    = "stp_kern_compat"
-    [@@noalloc]
-
-  external distinct_rows : Bytes.t -> int -> int -> int -> int
-    = "stp_kern_distinct_rows"
-    [@@noalloc]
-
   external first_unset : Bytes.t -> int -> int -> int = "stp_kern_first_unset"
     [@@noalloc]
 
@@ -63,60 +37,6 @@ end
 module Ocaml_ops : OPS = struct
   let gw b k = Bytes.get_int64_ne b (k lsl 3)
   let sw b k v = Bytes.set_int64_ne b (k lsl 3) v
-
-  let popcount64 x =
-    let open Int64 in
-    let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
-    let x =
-      add
-        (logand x 0x3333333333333333L)
-        (logand (shift_right_logical x 2) 0x3333333333333333L)
-    in
-    let x = logand (add x (shift_right_logical x 4)) 0x0f0f0f0f0f0f0f0fL in
-    to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
-
-  let popcount b off w =
-    let acc = ref 0 in
-    for k = off to off + w - 1 do
-      acc := !acc + popcount64 (gw b k)
-    done;
-    !acc
-
-  let equal_rows a aoff b boff w =
-    let rec loop k =
-      k >= w || (Int64.equal (gw a (aoff + k)) (gw b (boff + k)) && loop (k + 1))
-    in
-    loop 0
-
-  let compat a aoff b boff w =
-    let rec loop k =
-      k >= w
-      || (Int64.equal
-            (Int64.logand
-               (Int64.logand
-                  (Int64.logxor (gw a (aoff + k)) (gw b (boff + k)))
-                  (gw a (aoff + w + k)))
-               (gw b (boff + w + k)))
-            0L
-         && loop (k + 1))
-    in
-    loop 0
-
-  let distinct_rows b rows w cap =
-    let count = ref 0 in
-    (try
-       for r = 0 to rows - 1 do
-         let fresh = ref true in
-         for s = 0 to r - 1 do
-           if !fresh && equal_rows b (s * w) b (r * w) w then fresh := false
-         done;
-         if !fresh then begin
-           incr count;
-           if !count >= cap then raise Exit
-         end
-       done
-     with Exit -> ());
-    !count
 
   let first_unset b off nbits =
     let rec loop k =
@@ -235,9 +155,7 @@ module Ocaml_ops : OPS = struct
     done
 end
 
-module Ops : OPS = (val match impl with
-                        | C -> (module C_ops : OPS)
-                        | Ocaml -> (module Ocaml_ops : OPS))
+module Ops = C_ops
 
 (* Pattern of index bit [v] inside one 64-bit word, for v < 6 (same
    table as Tt/Tmat). *)

@@ -1,48 +1,21 @@
 (** Multi-word kernel primitives for the factorisation solver.
 
-    The packed decompose path of [Stp_synth.Factor] keeps one machine
-    word of block values per side, which caps it at 5-variable sides
-    and 6-variable targets. These kernels generalise the same
-    word-parallel operations to flat multi-word buffers, so 6- and
-    7-variable sides get quartering rejects, compatibility tests and
-    constraint propagation at word granularity too.
+    The decompose search of [Stp_synth.Factor] keeps each side's block
+    values and assignedness in flat multi-word planes. These five
+    kernels work on them at word granularity: the first unassigned
+    class, the constant-row test, one whole constraint-propagation step,
+    its undo, and factor assembly from indicator rows.
 
     Buffers are plain [Bytes] holding 64-bit words in {e native} byte
-    order; offsets and widths are counted in words. Two complete
-    implementations are compiled: C stubs (branch-free popcounts,
-    whole-step propagation in one call) and a pure-OCaml fallback on
-    [Bytes.get_int64_ne]/[set_int64_ne]. {!ops} picks one per process
-    from the [STP_KERNELS] environment variable ([c] — the default —
-    or [ocaml]); both stay addressable for differential testing. *)
-
-type impl = C | Ocaml
-
-val impl : impl
-(** Implementation selected for this process: [Ocaml] when the
-    [STP_KERNELS] environment variable is [ocaml], [C] otherwise. *)
+    order; offsets and widths are counted in words. The solver runs the
+    C stubs ({!Ops}); a pure-OCaml implementation on
+    [Bytes.get_int64_ne]/[set_int64_ne] is kept as the reference they
+    are tested and benchmarked against. *)
 
 val impl_name : string
-(** ["c"] or ["ocaml"]. *)
+(** Name of the implementation behind {!Ops}: always ["c"]. *)
 
 module type OPS = sig
-  val popcount : Bytes.t -> int -> int -> int
-  (** [popcount b off w]: set bits in the [w] words at word-offset
-      [off]. *)
-
-  val equal_rows : Bytes.t -> int -> Bytes.t -> int -> int -> bool
-  (** [equal_rows a aoff b boff w]: the two [w]-word rows are equal. *)
-
-  val compat : Bytes.t -> int -> Bytes.t -> int -> int -> bool
-  (** [compat a aoff b boff w] on ternary rows laid out
-      [value words ; care words] ([2w] words each): no position is
-      cared on both sides with different values. *)
-
-  val distinct_rows : Bytes.t -> int -> int -> int -> int
-  (** [distinct_rows b rows w cap]: number of distinct [w]-word rows
-      among the first [rows] rows of the flat matrix at [b], counting
-      stops at [cap]. The quartering comparison kernel: a factorable
-      disjoint cover leaves exactly two distinct blocks per side. *)
-
   val first_unset : Bytes.t -> int -> int -> int
   (** [first_unset b off nbits]: index of the first clear bit below
       [nbits] in the bitset at word-offset [off], or [-1]. *)
@@ -74,10 +47,12 @@ module type OPS = sig
 end
 
 module C_ops : OPS
+
 module Ocaml_ops : OPS
+(** The pure-OCaml reference implementation. *)
 
 module Ops : OPS
-(** The per-process selection ({!impl}) — what the solver uses. *)
+(** What the solver uses: {!C_ops}. *)
 
 val word_of_var : n:int -> v:int -> k:int -> int64
 (** Pattern of variable [v] of an [n]-variable table restricted to

@@ -2,9 +2,9 @@
  *
  * Every kernel works on flat OCaml Bytes buffers holding 64-bit words
  * in native byte order; offsets and lengths are counted in words. The
- * OCaml fallback (Kern.Ocaml_ops) implements the same contracts with
- * Bytes.get_int64_ne/set_int64_ne, so both implementations agree on
- * any host and can be differential-tested in one process.
+ * OCaml reference (Kern.Ocaml_ops) implements the same contracts with
+ * Bytes.get_int64_ne/set_int64_ne, so the two can be differential-tested
+ * in one process.
  *
  * All stubs are [@@noalloc]: they neither allocate nor raise, and
  * return immediates only. Bytes data is word-aligned in the OCaml
@@ -17,75 +17,6 @@
 static inline uint64_t *words_of(value b, value word_off)
 {
   return (uint64_t *)Bytes_val(b) + Long_val(word_off);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#define POPCOUNT64(x) ((int)__builtin_popcountll(x))
-#else
-static inline int popcount64_soft(uint64_t x)
-{
-  x = x - ((x >> 1) & 0x5555555555555555ULL);
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-  return (int)((x * 0x0101010101010101ULL) >> 56);
-}
-#define POPCOUNT64(x) popcount64_soft(x)
-#endif
-
-CAMLprim value stp_kern_popcount(value b, value off, value nwords)
-{
-  uint64_t *w = words_of(b, off);
-  long n = Long_val(nwords);
-  long acc = 0;
-  for (long k = 0; k < n; k++) acc += POPCOUNT64(w[k]);
-  return Val_long(acc);
-}
-
-CAMLprim value stp_kern_equal_rows(value a, value aoff, value b, value boff,
-                                   value nwords)
-{
-  uint64_t *wa = words_of(a, aoff);
-  uint64_t *wb = words_of(b, boff);
-  long n = Long_val(nwords);
-  for (long k = 0; k < n; k++)
-    if (wa[k] != wb[k]) return Val_false;
-  return Val_true;
-}
-
-/* Ternary rows laid out [value words | care words]; compatible iff no
- * position is cared on both sides with different values. */
-CAMLprim value stp_kern_compat(value a, value aoff, value b, value boff,
-                               value nwords)
-{
-  uint64_t *wa = words_of(a, aoff);
-  uint64_t *wb = words_of(b, boff);
-  long n = Long_val(nwords);
-  for (long k = 0; k < n; k++)
-    if ((wa[k] ^ wb[k]) & wa[n + k] & wb[n + k]) return Val_false;
-  return Val_true;
-}
-
-/* Count distinct [nwords]-word rows among the first [nrows] rows of a
- * flat row matrix, stopping at [cap] (the quartering comparison: a
- * factorable cover leaves exactly two distinct blocks). */
-CAMLprim value stp_kern_distinct_rows(value b, value nrows, value nwords,
-                                      value cap)
-{
-  uint64_t *base = (uint64_t *)Bytes_val(b);
-  long rows = Long_val(nrows), w = Long_val(nwords), lim = Long_val(cap);
-  long count = 0;
-  for (long r = 0; r < rows && count < lim; r++) {
-    uint64_t *row = base + r * w;
-    int fresh = 1;
-    for (long s = 0; s < r && fresh; s++) {
-      uint64_t *prev = base + s * w;
-      long k = 0;
-      while (k < w && prev[k] == row[k]) k++;
-      fresh = (k < w);
-    }
-    if (fresh) count++;
-  }
-  return Val_long(count);
 }
 
 /* Index of the first clear bit below [nbits], -1 if none. */

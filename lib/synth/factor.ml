@@ -200,72 +200,72 @@ let vars_of_mask mask n =
   in
   loop (n - 1) []
 
-let lowest_bit_index x =
-  let rec go x i = if x land 1 = 1 then i else go (x lsr 1) (i + 1) in
-  go x 0
+let debruijn32 =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
-(* Reusable per-domain scratch arena for the packed and multi-word
-   decompose paths: block-constraint tables, indicator words, the
-   int-encoded undo trail and the multi-word row/state/trail buffers.
-   Backtracking touches only these preallocated buffers, so the
-   enumeration itself performs no allocation and no reallocation on
-   undo. Sizes cover the path bounds (packed: sides of at most 5
-   variables; multi-word: sides of at most 7 variables, targets of at
-   most 12). *)
+(* Index of the lowest set bit of [x], for 0 < x < 2^32: isolate the
+   bit and look its De Bruijn product up in constant time. *)
+let lowest_bit_index x =
+  Array.unsafe_get debruijn32
+    ((((x land (-x)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* Reusable per-domain scratch arena for the decompose search: per-class
+   constraint rows, indicator rows, state planes and the undo trail.
+   Backtracking touches only these buffers, so the enumeration itself
+   performs no allocation and no reallocation on undo. An arena is sized
+   by the class counts of both sides ([ca], [cb]) and the table width in
+   words ([tw]); a call that needs more replaces it, once, with one
+   covering both its own and the old sizes. *)
 type scratch = {
-  bm_a : int array;
-  tv_a : int array;
-  am_b : int array;
-  tv_b : int array;
-  ind1_a : int64 array;
-  ind1_b : int64 array;
-  trail1 : int array; (* entry = (mask lsl 1) lor is_a *)
-  outw1 : int64 array;
+  ca : int;
+  cb : int;
+  tw : int;
   rows_a : Bytes.t; (* per A class: [valid | target-value], wB words each *)
   rows_b : Bytes.t;
   mind_a : Bytes.t; (* per-class indicator rows, tw words each *)
   mind_b : Bytes.t;
   mst : Bytes.t; (* value/assignedness planes for both sides *)
-  mnewly : Bytes.t;
   mout : Bytes.t;
-  mtrail : Bytes.t; (* undo masks, one wmax-word entry per step *)
+  mtrail : Bytes.t; (* assigned-class masks, one wmax-word entry per step *)
   tside : int array;
-  pend_a : int array;
-  pend_b : int array;
 }
 
-let alloc_scratch () =
-  { bm_a = Array.make 32 0;
-    tv_a = Array.make 32 0;
-    am_b = Array.make 32 0;
-    tv_b = Array.make 32 0;
-    ind1_a = Array.make 32 0L;
-    ind1_b = Array.make 32 0L;
-    trail1 = Array.make 160 0;
-    outw1 = Array.make 1 0L;
-    rows_a = Bytes.make (512 * 8) '\000';
-    rows_b = Bytes.make (512 * 8) '\000';
-    mind_a = Bytes.make (8192 * 8) '\000';
-    mind_b = Bytes.make (8192 * 8) '\000';
-    mst = Bytes.make (8 * 8) '\000';
-    mnewly = Bytes.make (2 * 8) '\000';
-    mout = Bytes.make (64 * 8) '\000';
-    mtrail = Bytes.make (512 * 8) '\000';
-    tside = Array.make 256 0;
-    pend_a = Array.make 256 0;
-    pend_b = Array.make 256 0 }
+let words_of_bits bits = (bits + 63) lsr 6
+
+(* Every trail entry assigns at least one class, so the trail holds at
+   most [ca + cb] entries, plus the slot a propagation step writes its
+   (possibly empty) result into. *)
+let alloc_scratch ~ca ~cb ~tw =
+  let wa = words_of_bits ca and wb = words_of_bits cb in
+  let wmax = max wa wb and slots = ca + cb + 1 in
+  let buf words = Bytes.make (words * 8) '\000' in
+  { ca; cb; tw;
+    rows_a = buf (ca * 2 * wb);
+    rows_b = buf (cb * 2 * wa);
+    mind_a = buf (ca * tw);
+    mind_b = buf (cb * tw);
+    mst = buf (2 * (wa + wb));
+    mout = buf tw;
+    mtrail = buf (slots * wmax);
+    tside = Array.make slots 0 }
 
 let scratch_key : scratch option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let get_scratch () =
+(* The first arena covers 7-variable sides and 12-variable targets, which
+   is every cover the Table I collections produce. *)
+let get_scratch ~ca ~cb ~tw =
   let slot = Domain.DLS.get scratch_key in
   match !slot with
-  | Some s ->
+  | Some s when ca <= s.ca && cb <= s.cb && tw <= s.tw ->
     Profile.incr Profile.Arena_reuses;
     s
-  | None ->
-    let s = alloc_scratch () in
+  | old ->
+    let ca0, cb0, tw0 =
+      match old with Some s -> (s.ca, s.cb, s.tw) | None -> (128, 128, 64)
+    in
+    let s = alloc_scratch ~ca:(max ca ca0) ~cb:(max cb cb0) ~tw:(max tw tw0) in
     slot := Some s;
     s
 
@@ -277,8 +277,8 @@ exception Fail
    phi(g(alpha), h(beta)) = target(assignment).  Unconstrained block
    values are the paper's don't-care entries 'x' (Property 3): the
    enumeration branches on them, yielding distinct solutions. *)
-let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
-    ~amask ~bmask () =
+let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~cap ~target ~amask
+    ~bmask () =
   let n = Tt.num_vars target in
   let smask = Tt.support_mask target in
   if smask land lnot (amask lor bmask) <> 0 then []
@@ -306,8 +306,7 @@ let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
          distinct blocks. Exactly two is necessary on BOTH sides: the
          engine only emits non-degenerate gates over non-constant
          factors, so every solution's blocks take precisely two values
-         over the A classes and two over the B classes. The packed
-         kernels compare whole blocks word-parallel. *)
+         over the A classes and two over the B classes. *)
       let distinct2 group =
         (* The capped distinct-block count recurs across the B masks and
            fixed-side variants of the same (target, group) pair; memo
@@ -334,274 +333,23 @@ let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
         Profile.incr Profile.Quarter_rejects;
         []
       end
-      else
-        let use_packed = na <= 5 && nb <= 5 && n <= 6 in
-        let use_multi = na <= 7 && nb <= 7 && n <= 12 in
-        let chosen =
-          match path with
-          | `Auto ->
-            if use_packed then `Packed
-            else if use_multi then `Multiword
-            else `List
-          | `Packed ->
-            if use_packed then `Packed
-            else invalid_arg "Factor.decompose: packed path inapplicable"
-          | `Multiword ->
-            if use_multi then `Multiword
-            else invalid_arg "Factor.decompose: multiword path inapplicable"
-          | `List -> `List
-        in
-        if chosen = `Packed then begin
-        (* Packed path: each side's block values fit one machine word
-           (bit [alpha] of [ga_val]/[ga_care] is class alpha's value and
-           assignedness). Propagation computes whole masks of forced
-           partner classes per step, and factors are assembled by OR-ing
-           per-class indicator words instead of tabulating 2^n closures.
-           The search visits the same tree in the same order as the
-           list-based solver below, so caps cut the same deterministic
-           prefix and memo contents are engine-independent. *)
-        let wa = 1 lsl na and wb = 1 lsl nb in
-        let full_a = (1 lsl wa) - 1 and full_b = (1 lsl wb) - 1 in
-        let s = get_scratch () in
-        (* Per A class alpha: the B classes jointly reachable with it
-           ([bm_a]) and, among those, the ones whose shared assignment
-           makes the target true ([tv_a]); [am_b]/[tv_b] transposed. *)
-        let bm_a = s.bm_a and tv_a = s.tv_a in
-        let am_b = s.am_b and tv_b = s.tv_b in
-        for i = 0 to wa - 1 do
-          bm_a.(i) <- 0;
-          tv_a.(i) <- 0
-        done;
-        for i = 0 to wb - 1 do
-          am_b.(i) <- 0;
-          tv_b.(i) <- 0
-        done;
-        for ui = 0 to (1 lsl nu) - 1 do
-          let m = ref 0 in
-          Array.iteri
-            (fun j v -> if (ui lsr j) land 1 = 1 then m := !m lor (1 lsl v))
-            uvars;
-          let alpha = gather asel ui and beta = gather bsel ui in
-          bm_a.(alpha) <- bm_a.(alpha) lor (1 lsl beta);
-          am_b.(beta) <- am_b.(beta) lor (1 lsl alpha);
-          if Tt.get target !m then begin
-            tv_a.(alpha) <- tv_a.(alpha) lor (1 lsl beta);
-            tv_b.(beta) <- tv_b.(beta) lor (1 lsl alpha)
-          end
-        done;
-        (* Indicator word of "the side's variables spell class [code]". *)
-        let word_mask =
-          if n = 6 then -1L else Int64.sub (Int64.shift_left 1L (1 lsl n)) 1L
-        in
-        let fill_ind ind vars w =
-          for code = 0 to w - 1 do
-            let acc = ref word_mask in
-            Array.iteri
-              (fun j v ->
-                let p = Kern.word_of_var ~n ~v ~k:0 in
-                acc :=
-                  Int64.logand !acc
-                    (if (code lsr j) land 1 = 1 then p else Int64.lognot p))
-              vars;
-            ind.(code) <- !acc
-          done
-        in
-        fill_ind s.ind1_a avars wa;
-        fill_ind s.ind1_b bvars wb;
-        let ind_a = s.ind1_a and ind_b = s.ind1_b in
-        let seed_row vars w fixed =
-          match fixed with
-          | None -> (0, 0)
-          | Some f ->
-            let value = ref 0 in
-            for code = 0 to w - 1 do
-              let m = ref 0 in
-              Array.iteri
-                (fun j v -> if (code lsr j) land 1 = 1 then m := !m lor (1 lsl v))
-                vars;
-              if Tt.get f !m then value := !value lor (1 lsl code)
-            done;
-            (!value, (1 lsl w) - 1)
-        in
-        let results = ref [] in
-        let count = ref 0 in
-        let solve_phi phi =
-          let bit a b = (phi lsr ((2 * a) + b)) land 1 in
-          let sv_a, sc_a = seed_row avars wa g_fixed in
-          let sv_b, sc_b = seed_row bvars wb h_fixed in
-          let ga_val = ref sv_a and ga_care = ref sc_a in
-          let hb_val = ref sv_b and hb_care = ref sc_b in
-          let pending_a = ref sc_a and pending_b = ref sc_b in
-          let tlen = ref 0 in
-          let push is_a mask =
-            s.trail1.(!tlen) <- (mask lsl 1) lor (if is_a then 1 else 0);
-            incr tlen
-          in
-          (* Consequences of A class [idx] being assigned: over its valid
-             partner classes, a partner value is forced wherever only one
-             gate input makes phi meet the target. *)
-          let force_from_a idx =
-            let v = (!ga_val lsr idx) land 1 in
-            let tv = tv_a.(idx) and valid = bm_a.(idx) in
-            let ok0 = if bit v 0 = 1 then tv else lnot tv in
-            let ok1 = if bit v 1 = 1 then tv else lnot tv in
-            if valid land lnot (ok0 lor ok1) <> 0 then raise Fail;
-            let forced0 = valid land ok0 land lnot ok1 in
-            let forced1 = valid land ok1 land lnot ok0 in
-            if forced0 land !hb_care land !hb_val <> 0 then raise Fail;
-            if forced1 land !hb_care land lnot !hb_val <> 0 then raise Fail;
-            let newly = (forced0 lor forced1) land lnot !hb_care in
-            if newly <> 0 then begin
-              hb_care := !hb_care lor newly;
-              hb_val := !hb_val lor (forced1 land newly);
-              push false newly;
-              pending_b := !pending_b lor newly
-            end
-          in
-          let force_from_b idx =
-            let v = (!hb_val lsr idx) land 1 in
-            let tv = tv_b.(idx) and valid = am_b.(idx) in
-            let ok0 = if bit 0 v = 1 then tv else lnot tv in
-            let ok1 = if bit 1 v = 1 then tv else lnot tv in
-            if valid land lnot (ok0 lor ok1) <> 0 then raise Fail;
-            let forced0 = valid land ok0 land lnot ok1 in
-            let forced1 = valid land ok1 land lnot ok0 in
-            if forced0 land !ga_care land !ga_val <> 0 then raise Fail;
-            if forced1 land !ga_care land lnot !ga_val <> 0 then raise Fail;
-            let newly = (forced0 lor forced1) land lnot !ga_care in
-            if newly <> 0 then begin
-              ga_care := !ga_care lor newly;
-              ga_val := !ga_val lor (forced1 land newly);
-              push true newly;
-              pending_a := !pending_a lor newly
-            end
-          in
-          let rec drain () =
-            if !pending_a <> 0 then begin
-              let idx = lowest_bit_index !pending_a in
-              pending_a := !pending_a land (!pending_a - 1);
-              force_from_a idx;
-              drain ()
-            end
-            else if !pending_b <> 0 then begin
-              let idx = lowest_bit_index !pending_b in
-              pending_b := !pending_b land (!pending_b - 1);
-              force_from_b idx;
-              drain ()
-            end
-          in
-          let set is_a idx v =
-            let b = 1 lsl idx in
-            if is_a then begin
-              ga_care := !ga_care lor b;
-              if v = 1 then ga_val := !ga_val lor b;
-              push true b;
-              pending_a := !pending_a lor b
-            end
-            else begin
-              hb_care := !hb_care lor b;
-              if v = 1 then hb_val := !hb_val lor b;
-              push false b;
-              pending_b := !pending_b lor b
-            end;
-            drain ()
-          in
-          (* Pending masks are always fully drained before a branch, so
-             clearing them wholesale on rollback is exact. *)
-          let rollback mark =
-            pending_a := 0;
-            pending_b := 0;
-            while !tlen > mark do
-              decr tlen;
-              let e = s.trail1.(!tlen) in
-              let is_a = e land 1 = 1 and mask = e lsr 1 in
-              if is_a then begin
-                ga_care := !ga_care land lnot mask;
-                ga_val := !ga_val land lnot mask
-              end
-              else begin
-                hb_care := !hb_care land lnot mask;
-                hb_val := !hb_val land lnot mask
-              end
-            done
-          in
-          let assemble w ind row =
-            let acc = ref 0L in
-            for code = 0 to w - 1 do
-              if (row lsr code) land 1 = 1 then
-                acc := Int64.logor !acc ind.(code)
-            done;
-            s.outw1.(0) <- !acc;
-            Tt.of_words n s.outw1
-          in
-          let emit () =
-            (* Reject constant factors. *)
-            if
-              not
-                (!ga_val = 0 || !ga_val = full_a || !hb_val = 0
-               || !hb_val = full_b)
-            then begin
-              results :=
-                { phi;
-                  g = assemble wa ind_a !ga_val;
-                  h = assemble wb ind_b !hb_val }
-                :: !results;
-              incr count
-            end
-          in
-          let rec search () =
-            if !count >= cap then ()
-            else begin
-              let una = full_a land lnot !ga_care in
-              let unb = full_b land lnot !hb_care in
-              if una = 0 && unb = 0 then emit ()
-              else begin
-                let is_a = una <> 0 in
-                let idx = lowest_bit_index (if is_a then una else unb) in
-                let mark = !tlen in
-                (try
-                   set is_a idx 0;
-                   search ()
-                 with Fail -> ());
-                rollback mark;
-                if !count < cap then begin
-                  try
-                    set is_a idx 1;
-                    search ()
-                  with Fail -> ()
-                end;
-                rollback mark
-              end
-            end
-          in
-          match drain () with
-          | () -> search ()
-          | exception Fail -> ()
-        in
-        List.iter
-          (fun phi ->
-            if (allowed lsr phi) land 1 = 1 && !count < cap then solve_phi phi)
-          Gate.nontrivial;
-        List.rev !results
-      end
-      else if chosen = `Multiword then begin
-        (* Multi-word path: the same propagation search as the packed
-           engine, generalised past one machine word per side through
-           the {!Stp_matrix.Kern} kernels. Each side's block values and
-           assignedness live in flat word planes; one kernel call per
-           propagation step computes the whole mask of newly forced
-           partner classes, trail entries are word masks undone by the
-           undo kernel, and factors are assembled by OR-ing per-class
-           multi-word indicator rows. The branch structure (lowest
-           unassigned A class first, value 0 then 1) is identical to the
-           packed path, so the enumeration order is too. *)
+      else begin
+        (* The search runs on the {!Stp_matrix.Kern} kernels. Each side's
+           block values and assignedness live in flat word planes; one
+           kernel call per propagation step computes the whole mask of
+           newly forced partner classes, trail entries are word masks
+           undone by the undo kernel, and factors are assembled by OR-ing
+           per-class multi-word indicator rows. Branching takes the
+           lowest unassigned A class first (then B), value 0 before 1, so
+           the enumeration order — and with it every capped prefix and
+           memo entry — is fixed. *)
         Profile.incr Profile.Multiword_decomposes;
-        let s = get_scratch () in
         let kc = ref 0 in
         let wa = 1 lsl na and wb = 1 lsl nb in
-        let wA = (wa + 63) lsr 6 and wB = (wb + 63) lsr 6 in
+        let wA = words_of_bits wa and wB = words_of_bits wb in
         let wmax = if wA > wB then wA else wB in
         let tw = if n <= 6 then 1 else 1 lsl (n - 6) in
+        let s = get_scratch ~ca:wa ~cb:wb ~tw in
         let set_bit b woff bit =
           let k = (woff + (bit lsr 6)) lsl 3 in
           Bytes.set_int64_ne b k
@@ -630,6 +378,7 @@ let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
             set_bit s.rows_b ((beta * 2 * wA) + wA) alpha
           end
         done;
+        (* Indicator rows of "the side's variables spell class [code]". *)
         let word_mask =
           if n >= 6 then -1L else Int64.sub (Int64.shift_left 1L (1 lsl n)) 1L
         in
@@ -657,51 +406,29 @@ let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
         let out_arr = Array.make tw 0L in
         let results = ref [] in
         let count = ref 0 in
-        let pa_len = ref 0 and pb_len = ref 0 and tlen = ref 0 in
-        let push_pend to_a idx =
-          if to_a then begin
-            s.pend_a.(!pa_len) <- idx;
-            incr pa_len
-          end
-          else begin
-            s.pend_b.(!pb_len) <- idx;
-            incr pb_len
-          end
-        in
-        let record_newly to_a w =
-          let base = !tlen * wmax in
-          for k = 0 to wmax - 1 do
-            let x =
-              if k < w then Bytes.get_int64_ne s.mnewly (k lsl 3) else 0L
-            in
-            Bytes.set_int64_ne s.mtrail ((base + k) lsl 3) x;
-            if k < w then begin
-              let scan bit0 v =
-                let v = ref v in
-                while !v <> 0 do
-                  push_pend to_a (bit0 + lowest_bit_index !v);
-                  v := !v land (!v - 1)
-                done
-              in
-              scan (k * 64) (Int64.to_int (Int64.logand x 0xFFFFFFFFL));
-              scan
-                ((k * 64) + 32)
-                (Int64.to_int (Int64.shift_right_logical x 32))
-            end
-          done;
+        (* The undo trail doubles as the propagation queue: entry [e]
+           (words [e * wmax, e * wmax + w) of [s.mtrail], side
+           [s.tside.(e)]) is the mask of classes one step assigned, and
+           every class it holds still has to force its partners while
+           [e >= !qhead]. *)
+        let tlen = ref 0 and qhead = ref 0 in
+        let push_entry to_a =
           s.tside.(!tlen) <- (if to_a then 1 else 0);
           incr tlen
         in
         let solve_phi phi =
           let bit a b = (phi lsr ((2 * a) + b)) land 1 in
           Bytes.fill s.mst 0 (2 * (wA + wB) * 8) '\000';
-          pa_len := 0;
-          pb_len := 0;
           tlen := 0;
+          qhead := 0;
+          (* Pre-assigned sides (shared DAG children whose function is
+             already bound) seed the block values before the search. *)
           let seed vars w voff coff to_a fixed =
             match fixed with
             | None -> ()
             | Some f ->
+              let base = !tlen * wmax in
+              Bytes.fill s.mtrail (base lsl 3) (words_of_bits w lsl 3) '\000';
               for code = 0 to w - 1 do
                 let m = ref 0 in
                 Array.iteri
@@ -710,44 +437,56 @@ let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
                   vars;
                 set_bit s.mst coff code;
                 if Tt.get f !m then set_bit s.mst voff code;
-                push_pend to_a code
-              done
+                set_bit s.mtrail base code
+              done;
+              push_entry to_a
           in
           seed avars wa aval acare true g_fixed;
           seed bvars wb bval bcare false h_fixed;
+          (* Consequences of a class being assigned: the kernel writes
+             the mask of newly forced partner classes straight into the
+             next trail slot. *)
           let force_from_a idx =
             let v = get_bit s.mst aval idx in
             incr kc;
             let r =
-              K.force s.rows_a (idx * 2 * wB) s.mst bval bcare s.mnewly 0 wB
-                (bit v 0) (bit v 1)
+              K.force s.rows_a (idx * 2 * wB) s.mst bval bcare s.mtrail
+                (!tlen * wmax) wB (bit v 0) (bit v 1)
             in
             if r < 0 then raise Fail;
-            if r > 0 then record_newly false wB
+            if r > 0 then push_entry false
           in
           let force_from_b idx =
             let v = get_bit s.mst bval idx in
             incr kc;
             let r =
-              K.force s.rows_b (idx * 2 * wA) s.mst aval acare s.mnewly 0 wA
-                (bit 0 v) (bit 1 v)
+              K.force s.rows_b (idx * 2 * wA) s.mst aval acare s.mtrail
+                (!tlen * wmax) wA (bit 0 v) (bit 1 v)
             in
             if r < 0 then raise Fail;
-            if r > 0 then record_newly true wA
+            if r > 0 then push_entry true
           in
-          (* LIFO pending stacks instead of the packed path's
-             lowest-bit-first masks: unit propagation here is confluent,
-             so the drained closure — and with it every branch decision
-             — is order-independent. *)
-          let rec drain () =
-            if !pa_len > 0 then begin
-              decr pa_len;
-              force_from_a s.pend_a.(!pa_len);
-              drain ()
+          (* Entries are drained in trail order: unit propagation is
+             confluent, so the closure — and with it every branch
+             decision — does not depend on the processing order. *)
+          let rec scan force bit0 v =
+            if v <> 0 then begin
+              force (bit0 + lowest_bit_index v);
+              scan force bit0 (v land (v - 1))
             end
-            else if !pb_len > 0 then begin
-              decr pb_len;
-              force_from_b s.pend_b.(!pb_len);
+          in
+          let rec drain () =
+            if !qhead < !tlen then begin
+              let e = !qhead in
+              incr qhead;
+              let to_a = s.tside.(e) = 1 in
+              let force = if to_a then force_from_a else force_from_b in
+              for k = 0 to (if to_a then wA else wB) - 1 do
+                let x = Bytes.get_int64_ne s.mtrail (((e * wmax) + k) lsl 3) in
+                scan force (k * 64) (Int64.to_int (Int64.logand x 0xFFFFFFFFL));
+                scan force ((k * 64) + 32)
+                  (Int64.to_int (Int64.shift_right_logical x 32))
+              done;
               drain ()
             end
           in
@@ -756,11 +495,8 @@ let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
             for k = 0 to wmax - 1 do
               Bytes.set_int64_ne s.mtrail ((base + k) lsl 3) 0L
             done;
-            Bytes.set_int64_ne s.mtrail
-              ((base + (idx lsr 6)) lsl 3)
-              (Int64.shift_left 1L (idx land 63));
-            s.tside.(!tlen) <- (if is_a then 1 else 0);
-            incr tlen;
+            set_bit s.mtrail base idx;
+            push_entry is_a;
             if is_a then begin
               set_bit s.mst acare idx;
               if v = 1 then set_bit s.mst aval idx
@@ -769,12 +505,9 @@ let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
               set_bit s.mst bcare idx;
               if v = 1 then set_bit s.mst bval idx
             end;
-            push_pend is_a idx;
             drain ()
           in
           let rollback mark =
-            pa_len := 0;
-            pb_len := 0;
             while !tlen > mark do
               decr tlen;
               incr kc;
@@ -782,9 +515,11 @@ let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
               if s.tside.(!tlen) = 1 then
                 K.undo s.mst aval acare s.mtrail base wA
               else K.undo s.mst bval bcare s.mtrail base wB
-            done
+            done;
+            qhead := mark
           in
           let emit () =
+            (* Reject constant factors. *)
             kc := !kc + 2;
             if
               not
@@ -844,197 +579,6 @@ let decompose_uncached ?memo ?g_fixed ?h_fixed ~allowed ~path ~cap ~target
         Profile.add Profile.Multiword_kernel_calls !kc;
         List.rev !results
       end
-      else begin
-      (* Constraints: per (alpha, beta) the required target value. *)
-      let a_cons = Array.make (1 lsl na) [] in
-      let b_cons = Array.make (1 lsl nb) [] in
-      for ui = 0 to (1 lsl nu) - 1 do
-        let m = ref 0 in
-        Array.iteri
-          (fun j v -> if (ui lsr j) land 1 = 1 then m := !m lor (1 lsl v))
-          uvars;
-        let v = Tt.get target !m in
-        let alpha = gather asel ui and beta = gather bsel ui in
-        a_cons.(alpha) <- (beta, v) :: a_cons.(alpha);
-        b_cons.(beta) <- (alpha, v) :: b_cons.(beta)
-      done;
-      let results = ref [] in
-      let count = ref 0 in
-      let solve_phi phi =
-        let bit a b = (phi lsr ((2 * a) + b)) land 1 in
-        let ga = Array.make (1 lsl na) (-1) in
-        let hb = Array.make (1 lsl nb) (-1) in
-        let trail = Stp_util.Vec.create ~dummy:(true, 0) () in
-        (* Pre-assigned sides (shared DAG children whose function is
-           already bound) seed the block values before the search. *)
-        let seed arr sel fixed =
-          match fixed with
-          | None -> ()
-          | Some f ->
-            Array.iteri
-              (fun idx _ ->
-                (* idx enumerates the side's classes; rebuild the minterm *)
-                ignore idx)
-              arr;
-            for ci = 0 to Array.length arr - 1 do
-              let m = ref 0 in
-              Array.iteri
-                (fun j p ->
-                  ignore p;
-                  if (ci lsr j) land 1 = 1 then
-                    m := !m lor (1 lsl (if sel == asel then avars.(j) else bvars.(j))))
-                sel;
-              arr.(ci) <- (if Tt.get f !m then 1 else 0)
-            done
-        in
-        seed ga asel g_fixed;
-        seed hb bsel h_fixed;
-        let rec set_a alpha v =
-          if ga.(alpha) = -1 then begin
-            ga.(alpha) <- v;
-            Stp_util.Vec.push trail (true, alpha);
-            List.iter
-              (fun (beta, tv) ->
-                (* allowed b values under phi(v, b) = tv *)
-                let b0 = bit v 0 = Bool.to_int tv and b1 = bit v 1 = Bool.to_int tv in
-                match (b0, b1) with
-                | true, true -> ()
-                | true, false -> set_b beta 0
-                | false, true -> set_b beta 1
-                | false, false -> raise Fail)
-              a_cons.(alpha)
-          end
-          else if ga.(alpha) <> v then raise Fail
-        and set_b beta v =
-          if hb.(beta) = -1 then begin
-            hb.(beta) <- v;
-            Stp_util.Vec.push trail (false, beta);
-            List.iter
-              (fun (alpha, tv) ->
-                let a0 = bit 0 v = Bool.to_int tv and a1 = bit 1 v = Bool.to_int tv in
-                match (a0, a1) with
-                | true, true -> ()
-                | true, false -> set_a alpha 0
-                | false, true -> set_a alpha 1
-                | false, false -> raise Fail)
-              b_cons.(beta)
-          end
-          else if hb.(beta) <> v then raise Fail
-        in
-        let rollback mark =
-          while Stp_util.Vec.length trail > mark do
-            let is_a, idx = Stp_util.Vec.pop trail in
-            if is_a then ga.(idx) <- -1 else hb.(idx) <- -1
-          done
-        in
-        let gather_minterm m =
-          (* Repack a full minterm into the U index. *)
-          let x = ref 0 in
-          Array.iteri
-            (fun j v -> if (m lsr v) land 1 = 1 then x := !x lor (1 lsl j))
-            uvars;
-          !x
-        in
-        let emit () =
-          (* Reject constant factors. *)
-          let const arr =
-            let v0 = arr.(0) in
-            Array.for_all (fun v -> v = v0) arr
-          in
-          if not (const ga || const hb) then begin
-            let g =
-              Tt.of_fun n (fun m -> ga.(gather asel (gather_minterm m)) = 1)
-            and h =
-              Tt.of_fun n (fun m -> hb.(gather bsel (gather_minterm m)) = 1)
-            in
-            results := { phi; g; h } :: !results;
-            incr count
-          end
-        in
-        let seeded_consistent () =
-          (* Every constrained pair with both sides seeded must satisfy
-             phi; pairs with one seeded side propagate through the
-             regular search. *)
-          try
-            Array.iteri
-              (fun alpha cons ->
-                if ga.(alpha) >= 0 then
-                  List.iter
-                    (fun (beta, tv) ->
-                      if hb.(beta) >= 0 then begin
-                        if (bit ga.(alpha) hb.(beta) = 1) <> tv then raise Fail
-                      end
-                      else begin
-                        let v = ga.(alpha) in
-                        let b0 = bit v 0 = Bool.to_int tv
-                        and b1 = bit v 1 = Bool.to_int tv in
-                        match (b0, b1) with
-                        | true, true -> ()
-                        | true, false -> set_b beta 0
-                        | false, true -> set_b beta 1
-                        | false, false -> raise Fail
-                      end)
-                    cons)
-              a_cons;
-            Array.iteri
-              (fun beta cons ->
-                if hb.(beta) >= 0 then
-                  List.iter
-                    (fun (alpha, tv) ->
-                      if ga.(alpha) < 0 then begin
-                        let v = hb.(beta) in
-                        let a0 = bit 0 v = Bool.to_int tv
-                        and a1 = bit 1 v = Bool.to_int tv in
-                        match (a0, a1) with
-                        | true, true -> ()
-                        | true, false -> set_a alpha 0
-                        | false, true -> set_a alpha 1
-                        | false, false -> raise Fail
-                      end)
-                    cons)
-              b_cons;
-            true
-          with Fail -> false
-        in
-        let rec search () =
-          if !count >= cap then ()
-          else begin
-            (* Next unassigned block value. *)
-            let rec find_a i =
-              if i = Array.length ga then None
-              else if ga.(i) = -1 then Some (true, i)
-              else find_a (i + 1)
-            and find_b i =
-              if i = Array.length hb then None
-              else if hb.(i) = -1 then Some (false, i)
-              else find_b (i + 1)
-            in
-            match (match find_a 0 with None -> find_b 0 | s -> s) with
-            | None -> emit ()
-            | Some (is_a, idx) ->
-              let mark = Stp_util.Vec.length trail in
-              (try
-                 if is_a then set_a idx 0 else set_b idx 0;
-                 search ()
-               with Fail -> ());
-              rollback mark;
-              if !count < cap then begin
-                try
-                  if is_a then set_a idx 1 else set_b idx 1;
-                  search ()
-                with Fail -> ()
-              end;
-              rollback mark
-          end
-        in
-        if seeded_consistent () then search ()
-      in
-      List.iter
-        (fun phi ->
-          if (allowed lsr phi) land 1 = 1 && !count < cap then solve_phi phi)
-        Gate.nontrivial;
-      List.rev !results
-      end
     end
   end
 
@@ -1045,23 +589,13 @@ let rec take n = function
   | [] -> []
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-let decompose ?memo ?(path = `Auto) ?g_fixed ?h_fixed ~cap ~target ~amask
-    ~bmask () =
+let decompose ?memo ?g_fixed ?h_fixed ~cap ~target ~amask ~bmask () =
   match memo with
   | None ->
     Profile.incr Profile.Decompose_calls;
     Profile.time Profile.Decompose (fun () ->
-        decompose_uncached ?g_fixed ?h_fixed ~allowed:full_basis ~path ~cap
-          ~target ~amask ~bmask ())
-  | Some memo when path <> `Auto ->
-    (* Forced engines bypass the factorisation memo (every path emits
-       the same triples in the same order, but differential callers
-       should never answer from a cache another engine filled). The
-       quarter cache is engine-independent and stays shared. *)
-    Profile.incr Profile.Decompose_calls;
-    Profile.time Profile.Decompose (fun () ->
-        decompose_uncached ~memo ?g_fixed ?h_fixed ~allowed:memo.basis ~path
-          ~cap ~target ~amask ~bmask ())
+        decompose_uncached ?g_fixed ?h_fixed ~allowed:full_basis ~cap ~target
+          ~amask ~bmask ())
   | Some memo ->
     (* The cached value is always the full (decompose_cap-bounded)
        enumeration, truncated per call: this keeps the cache contents —
@@ -1079,8 +613,7 @@ let decompose ?memo ?(path = `Auto) ?g_fixed ?h_fixed ~cap ~target ~amask
         let r =
           Profile.time Profile.Decompose (fun () ->
               decompose_uncached ~memo ?g_fixed ?h_fixed ~allowed:memo.basis
-                ~path:`Auto ~cap:(max cap decompose_cap) ~target ~amask ~bmask
-                ())
+                ~cap:(max cap decompose_cap) ~target ~amask ~bmask ())
         in
         FactTbl.replace memo.factorisations key r;
         r

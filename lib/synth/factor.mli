@@ -48,7 +48,6 @@ val create_memo : ?basis:Stp_chain.Gate.code list -> unit -> memo
 
 val decompose :
   ?memo:memo ->
-  ?path:[ `Auto | `Packed | `Multiword | `List ] ->
   ?g_fixed:Stp_tt.Tt.t ->
   ?h_fixed:Stp_tt.Tt.t ->
   cap:int ->
@@ -64,16 +63,11 @@ val decompose :
     side to a known subfunction — used when a shared DAG node's function
     was already bound by another parent.
 
-    [path] selects the enumeration engine. [`Auto] (the default) picks
-    the single-word packed solver when each side fits one machine word
-    (at most 5 variables, 6-variable targets), the multi-word
-    {!Stp_matrix.Kern} solver up to 7-variable sides and 12-variable
-    targets, and the list-based solver beyond. All engines emit the
-    same triples in the same deterministic order; forcing [`Packed],
-    [`Multiword] or [`List] exists for differential testing and
-    benchmarks. Forced engines bypass the factorisation memo.
-    @raise Invalid_argument
-      if a forced engine does not cover the requested side widths. *)
+    One enumeration engine, on the multi-word {!Stp_matrix.Kern}
+    kernels, handles every side and target width; its per-domain
+    scratch arena grows on the first call that needs more. Triples come
+    in a fixed order (lowest unassigned A class first, then B, value 0
+    before 1), so a capped call returns a prefix of the full list. *)
 
 type stats = {
   mutable decompose_calls : int;

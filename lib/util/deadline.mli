@@ -15,33 +15,20 @@ type t
 val never : t
 (** A deadline that never expires. *)
 
-val after : ?poll_interval:int -> float -> t
-(** [after s] expires [s] seconds from now.
-
-    [poll_interval] is the throttle of {!expired}/{!check}: the wall
-    clock is consulted once per [poll_interval] calls (default
-    {!default_poll_interval}). Tests pass [~poll_interval:1] so expiry
-    is observable on the very next poll without spinning thousands of
-    calls or sleeping.
-    @raise Invalid_argument when [poll_interval < 1]. *)
-
-val default_poll_interval : int
-(** Polls between two wall-clock reads when [after] is not told
-    otherwise (256). *)
+val after : float -> t
+(** [after s] expires [s] seconds from now. *)
 
 val expired : t -> bool
-(** [expired d] is [true] once the wall clock has passed [d]. The check is
-    throttled internally (see {!after}) so it is cheap to call in tight
-    loops; consequently expiry may be reported up to [poll_interval - 1]
-    calls late, never early. Expiry latches: once [expired] has
-    returned [true] it returns [true] forever, even on the polls the
-    throttle would otherwise answer without reading the clock. *)
+(** [expired d] is [true] once the wall clock has passed [d]. Every call
+    reads the clock, so expiry is seen on the first poll after it.
+    Expiry latches: the clock is monotonic, so once [expired] has
+    returned [true] it returns [true] forever. *)
 
 val check : t -> unit
 (** [check d] raises {!Timeout} if [d] has expired. *)
 
 val remaining : t -> float
-(** [remaining d] is the number of seconds left (infinite for {!never});
-    unlike {!expired} this always reads the clock. *)
+(** [remaining d] is the number of seconds left (infinite for
+    {!never}). *)
 
 exception Timeout

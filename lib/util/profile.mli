@@ -46,7 +46,7 @@ type counter =
   | Learned_replays          (** cover triple loops replayed from learned survivors *)
   | Quarter_cache_hits       (** quartering signatures answered from the memo *)
   | Arena_reuses             (** decompose scratch arenas reused without reallocation *)
-  | Multiword_decomposes     (** factorisation searches run on the multi-word path *)
+  | Multiword_decomposes     (** factorisation searches run (decompose calls past the quartering reject) *)
   | Multiword_kernel_calls   (** multi-word kernel ops dispatched (force/assemble/...) *)
   | Sat_solves               (** [Solver.solve] calls completed *)
   | Sat_decisions            (** CDCL decisions *)

@@ -71,7 +71,7 @@ let test_expired_deadline_times_out () =
     (fun (module E : Engine.S) ->
       match
         E.synthesize (Engine.spec ~options f)
-          ~deadline:(Deadline.after ~poll_interval:1 0.0)
+          ~deadline:(Deadline.after 0.0)
       with
       | Engine.Timeout -> ()
       | Engine.Solved _ -> Alcotest.failf "%s solved under a dead deadline" E.name

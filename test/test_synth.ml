@@ -137,52 +137,174 @@ let test_decompose_memo_regression () =
     (List.map key
        (Factor.decompose ~cap:1000 ~target:f ~amask:0b0011 ~bmask:0b1100 ()))
 
-let test_decompose_paths_agree () =
-  (* The packed single-word solver, the multi-word kernel solver and the
-     list fallback must emit the same triples in the same order — the
-     solve_shape search relies on engine-independent enumeration order.
-     Forced paths bypass the factorisation memo, so every engine really
-     recomputes. *)
-  let key { Factor.phi; g; h } = (phi, Tt.to_hex g, Tt.to_hex h) in
-  let tst = Alcotest.(list (triple int string string)) in
+(* --- decompose against the list-based reference engine --- *)
+
+let tst = Alcotest.(list (triple int string string))
+let key { Factor.phi; g; h } = (phi, Tt.to_hex g, Tt.to_hex h)
+let oracle_key { Decompose_oracle.phi; g; h } = (phi, Tt.to_hex g, Tt.to_hex h)
+
+(* [Factor.decompose] must emit exactly the reference engine's triples,
+   in the same order (the capped prefix and memo contents depend on it).
+   Returns the number of triples, so callers can check that a sample
+   was not vacuous. *)
+let agrees ?memo ?basis ?g_fixed ?h_fixed ~cap ~target ~amask ~bmask msg =
+  let expected =
+    List.map oracle_key
+      (Decompose_oracle.decompose ?basis ?g_fixed ?h_fixed ~cap ~target
+         ~amask ~bmask ())
+  in
+  Alcotest.check tst msg expected
+    (List.map key
+       (Factor.decompose ?memo ?g_fixed ?h_fixed ~cap ~target ~amask ~bmask
+          ()));
+  List.length expected
+
+(* A random function of [n] variables whose support lies inside [mask]. *)
+let random_over rng n mask =
+  let tbl = Array.init (1 lsl n) (fun _ -> Prng.bool rng) in
+  Tt.of_fun n (fun m -> tbl.(m land mask))
+
+let random_subset rng n k =
+  let vars = Array.init n Fun.id in
+  Prng.shuffle rng vars;
+  Array.fold_left ( lor ) 0
+    (Array.map (fun v -> 1 lsl v) (Array.sub vars 0 k))
+
+let test_oracle_small () =
+  (* Random targets and masks on 3-6 variables (every side fits one
+     machine word), with and without a memo. *)
   let rng = Prng.create 4711 in
-  for _ = 1 to 60 do
-    let n = 3 + Prng.int rng 3 in
+  let memo = Factor.create_memo () in
+  let found = ref 0 in
+  for _ = 1 to 120 do
+    let n = 3 + Prng.int rng 4 in
     let target = Tt.of_fun n (fun _ -> Prng.bool rng) in
     let full = (1 lsl n) - 1 in
     let amask = 1 + Prng.int rng full in
     let bmask = 1 + Prng.int rng full in
-    let run path =
-      List.map key
-        (Factor.decompose ~path ~cap:4096 ~target ~amask ~bmask ())
-    in
-    let packed = run `Packed in
-    Alcotest.check tst "multiword = packed (order included)" packed
-      (run `Multiword);
-    Alcotest.check tst "list = packed (order included)" packed (run `List)
+    found := !found + agrees ~cap:4096 ~target ~amask ~bmask "no memo";
+    ignore (agrees ~memo ~cap:4096 ~target ~amask ~bmask "memo");
+    ignore (agrees ~memo ~cap:5 ~target ~amask ~bmask "memo, capped")
   done;
-  (* fixed-side and overlapping covers too *)
+  Alcotest.(check bool) "some covers factor" true (!found > 0)
+
+let test_oracle_wide () =
+  (* 7- and 8-variable targets built as phi(g over A, h over B) with A
+     of 6, 7 or 8 variables; B is either the complement of A (disjoint,
+     through the quartering test) or a random set overlapping it. *)
+  let rng = Prng.create 2024 in
+  let found = ref 0 in
+  for i = 0 to 17 do
+    let k = 6 + (i mod 3) in
+    let n = max k (7 + Prng.int rng 2) in
+    let amask = random_subset rng n k in
+    let rest = ((1 lsl n) - 1) land lnot amask in
+    let bmask =
+      if rest <> 0 && i mod 2 = 0 then rest
+      else rest lor random_subset rng n (1 + Prng.int rng 3)
+    in
+    let phi = List.nth Stp_chain.Gate.nontrivial (Prng.int rng 10) in
+    let target =
+      Tt.apply2 phi (random_over rng n amask) (random_over rng n bmask)
+    in
+    found := !found + agrees ~cap:64 ~target ~amask ~bmask "wide cover";
+    (* an unrelated random target on the same cover *)
+    ignore
+      (agrees ~cap:64
+         ~target:(Tt.of_fun n (fun _ -> Prng.bool rng))
+         ~amask ~bmask "random target")
+  done;
+  Alcotest.(check bool) "planted decompositions found" true (!found > 0)
+
+let test_oracle_fixed_overlap () =
   let f = Tt.of_hex ~n:4 "8ff8" in
   let g0 = Tt.band (Tt.var 4 0) (Tt.var 4 1) in
-  let run path =
-    List.map key
-      (Factor.decompose ~path ~g_fixed:g0 ~cap:4096 ~target:f ~amask:0b0011
-         ~bmask:0b1111 ())
+  let n =
+    agrees ~g_fixed:g0 ~cap:4096 ~target:f ~amask:0b0011 ~bmask:0b1111
+      "fixed g, overlapping cover"
   in
-  let packed = run `Packed in
-  Alcotest.(check bool) "fixed-side cover solvable" true (packed <> []);
-  Alcotest.check tst "fixed side: multiword = packed" packed (run `Multiword);
-  Alcotest.check tst "fixed side: list = packed" packed (run `List)
+  Alcotest.(check bool) "fixed-side cover solvable" true (n > 0);
+  (* Pin each side to a factor of a solution and to a random function,
+     on overlapping and disjoint covers of 4-8 variable targets. *)
+  let rng = Prng.create 99 in
+  let found = ref 0 in
+  for _ = 1 to 40 do
+    let n = 4 + Prng.int rng 5 in
+    let full = (1 lsl n) - 1 in
+    let amask = 1 + Prng.int rng full in
+    let bmask = (full land lnot amask) lor Prng.int rng (full + 1) in
+    let phi = List.nth Stp_chain.Gate.nontrivial (Prng.int rng 10) in
+    let g = random_over rng n amask and h = random_over rng n bmask in
+    let target = Tt.apply2 phi g h in
+    let cap = 256 in
+    found :=
+      !found + agrees ~g_fixed:g ~cap ~target ~amask ~bmask "g pinned to a factor";
+    found :=
+      !found + agrees ~h_fixed:h ~cap ~target ~amask ~bmask "h pinned to a factor";
+    ignore
+      (agrees ~g_fixed:g ~h_fixed:h ~cap ~target ~amask ~bmask "both pinned");
+    ignore
+      (agrees ~h_fixed:(random_over rng n bmask) ~cap ~target ~amask ~bmask
+         "h pinned at random")
+  done;
+  Alcotest.(check bool) "pinned factors found" true (!found > 0)
 
-let test_decompose_forced_path_rejects () =
-  (* a forced engine that cannot represent the cover must fail loudly,
-     not silently fall back *)
-  let f = Tt.expand (Tt.of_hex ~n:3 "96") 7 [| 0; 3; 6 |] in
-  Alcotest.check_raises "packed inapplicable"
-    (Invalid_argument "Factor.decompose: packed path inapplicable") (fun () ->
-      ignore
-        (Factor.decompose ~path:`Packed ~cap:10 ~target:f ~amask:0x7f
-           ~bmask:0x7f ()))
+let test_oracle_basis () =
+  let basis = [ 1; 2; 4; 7; 8; 11; 13; 14 ] in
+  let memo = Factor.create_memo ~basis () in
+  let rng = Prng.create 31337 in
+  let found = ref 0 in
+  for _ = 1 to 80 do
+    let n = 3 + Prng.int rng 3 in
+    let full = (1 lsl n) - 1 in
+    let amask = 1 + Prng.int rng full in
+    let bmask = (full land lnot amask) lor Prng.int rng (full + 1) in
+    let phi = List.nth Stp_chain.Gate.nontrivial (Prng.int rng 10) in
+    let target =
+      Tt.apply2 phi (random_over rng n amask) (random_over rng n bmask)
+    in
+    found :=
+      !found + agrees ~memo ~basis ~cap:128 ~target ~amask ~bmask "AND basis"
+  done;
+  Alcotest.(check bool) "AND-basis factors found" true (!found > 0)
+
+(* A 13-variable table (128 words) whose support is 6 variables,
+   XOR3 AND OR-of-AND, split 3 + 3. *)
+let wide13 () =
+  let v = Tt.var 13 in
+  Tt.band
+    (Tt.bxor (v 0) (Tt.bxor (v 5) (v 12)))
+    (Tt.bor (v 2) (Tt.band (v 7) (v 9)))
+
+let test_oracle_13_vars () =
+  let target = wide13 () in
+  let amask = (1 lsl 0) lor (1 lsl 5) lor (1 lsl 12) in
+  let bmask = (1 lsl 2) lor (1 lsl 7) lor (1 lsl 9) in
+  let n = agrees ~cap:4096 ~target ~amask ~bmask "13-variable target" in
+  Alcotest.(check bool) "13-variable target factors" true (n > 0);
+  ignore
+    (agrees ~cap:4096 ~target ~amask:(amask lor 0b10) ~bmask:(bmask lor 0b10)
+       "13-variable target, overlapping")
+
+let test_oracle_arena () =
+  (* Small covers, then calls that outgrow the first arena (8-variable
+     sides, a 13-variable table), then the small covers again: the grown
+     arena must give the same answers. *)
+  let small msg =
+    let f = Tt.of_hex ~n:4 "8ff8" in
+    ignore (agrees ~cap:4096 ~target:f ~amask:0b0011 ~bmask:0b1100 msg);
+    ignore (agrees ~cap:4096 ~target:f ~amask:0b0111 ~bmask:0b1110 msg)
+  in
+  small "small covers before growth";
+  let rng = Prng.create 5 in
+  let target8 =
+    Tt.apply2 7 (random_over rng 8 0xff) (random_over rng 8 0x0f)
+  in
+  ignore (agrees ~cap:64 ~target:target8 ~amask:0xff ~bmask:0x0f "8-var side");
+  ignore
+    (agrees ~cap:64 ~target:(wide13 ()) ~amask:0x1fff ~bmask:0x0284
+       "13-var side");
+  small "small covers after growth"
 
 let qcheck_decompose_sound =
   QCheck.Test.make ~name:"decompose recomposes (random targets/covers)"
@@ -446,6 +568,20 @@ let test_timeout_reported () =
   Alcotest.(check bool) "timeout" true (r.Spec.status = Spec.Timeout);
   Alcotest.(check (list unit)) "no chains" [] (List.map ignore r.Spec.chains)
 
+let test_deadline_binds () =
+  (* An 8-variable prime target with DSD peeling off keeps the STP
+     search inside long factorisation calls between polls; a 1 s
+     deadline must still end the run within 1.2 s. *)
+  let f = Stp_workloads.Dsd_gen.pdsd ~n:8 ~seed:1000 in
+  let options = { (Spec.with_timeout 1.0) with Spec.use_dsd = false } in
+  let t0 = Stp_util.Unix_time.now () in
+  let r = Stp_exact.synthesize ~options f in
+  let wall = Stp_util.Unix_time.now () -. t0 in
+  Alcotest.(check bool) "timeout" true (r.Spec.status = Spec.Timeout);
+  if r.Spec.elapsed >= 1.2 || wall >= 1.2 then
+    Alcotest.failf "1 s deadline returned after %.2f s (reported %.2f s)" wall
+      r.Spec.elapsed
+
 let test_synthesize_npn_agrees () =
   let rng = Prng.create 57 in
   let options = Spec.with_timeout 30.0 in
@@ -509,10 +645,18 @@ let () =
             test_decompose_exhaustive;
           Alcotest.test_case "memo regression" `Quick
             test_decompose_memo_regression;
-          Alcotest.test_case "engine paths agree" `Quick
-            test_decompose_paths_agree;
-          Alcotest.test_case "forced path rejects" `Quick
-            test_decompose_forced_path_rejects;
+          Alcotest.test_case "oracle: old packed domain" `Quick
+            test_oracle_small;
+          Alcotest.test_case "oracle: 7-8 variable targets, wide sides" `Quick
+            test_oracle_wide;
+          Alcotest.test_case "oracle: fixed-side and overlapping covers" `Quick
+            test_oracle_fixed_overlap;
+          Alcotest.test_case "oracle: restricted basis" `Quick
+            test_oracle_basis;
+          Alcotest.test_case "oracle: 13-variable target" `Quick
+            test_oracle_13_vars;
+          Alcotest.test_case "oracle: arena grows and shrinks back" `Quick
+            test_oracle_arena;
           QCheck_alcotest.to_alcotest qcheck_decompose_sound ] );
       ( "solve_shape",
         [ Alcotest.test_case "xor3" `Quick test_solve_shape_xor3;
@@ -531,7 +675,9 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout_reported;
           Alcotest.test_case "npn variant" `Slow test_synthesize_npn_agrees;
           Alcotest.test_case "npn variant, 7 inputs" `Quick test_synthesize_npn_wide;
-          Alcotest.test_case "fdsd6 optimum" `Slow test_fdsd6_optimum ] );
+          Alcotest.test_case "fdsd6 optimum" `Slow test_fdsd6_optimum;
+          Alcotest.test_case "deadline binds on a wide target" `Quick
+            test_deadline_binds ] );
       ( "baselines",
         [ Alcotest.test_case "known optima" `Slow test_baselines_known_optima;
           Alcotest.test_case "engines agree" `Slow test_engines_agree_random;

@@ -105,7 +105,7 @@ let test_deadline_never () =
 
 let test_deadline_expires () =
   let d = Deadline.after 0.0 in
-  (* The check is throttled; poll enough times. *)
+  (* Expiry is strict (now > limit): poll until the clock moves on. *)
   let expired = ref false in
   for _ = 1 to 1000 do
     if Deadline.expired d then expired := true
@@ -120,17 +120,13 @@ let test_deadline_check_raises () =
       done)
 
 let test_deadline_poll_interval () =
-  (* With the polling throttle reduced to 1 the very first poll reads
-     the clock — deadline behaviour is testable without sleeping or
-     spinning through the default 256-call window. *)
-  let d = Deadline.after ~poll_interval:1 (-1.0) in
+  (* Every poll reads the clock, so expiry is seen on the very first
+     poll, without sleeping or spinning. *)
+  let d = Deadline.after (-1.0) in
   Alcotest.(check bool) "expired on first poll" true (Deadline.expired d);
   Alcotest.(check bool) "stays expired" true (Deadline.expired d);
-  let live = Deadline.after ~poll_interval:1 1000.0 in
-  Alcotest.(check bool) "not expired" false (Deadline.expired live);
-  Alcotest.check_raises "poll_interval < 1 rejected"
-    (Invalid_argument "Deadline.after: poll_interval < 1") (fun () ->
-      ignore (Deadline.after ~poll_interval:0 1.0))
+  let live = Deadline.after 1000.0 in
+  Alcotest.(check bool) "not expired" false (Deadline.expired live)
 
 let test_deadline_remaining () =
   let d = Deadline.after 1000.0 in

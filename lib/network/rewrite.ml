@@ -54,7 +54,8 @@ let delta_stats (s0 : Npn_cache.stats) (s1 : Npn_cache.stats) =
   { Npn_cache.hits = s1.hits - s0.hits;
     misses = s1.misses - s0.misses;
     bypassed = s1.bypassed - s0.bypassed;
-    failures = s1.failures - s0.failures }
+    failures = s1.failures - s0.failures;
+    known_timeouts = s1.known_timeouts - s0.known_timeouts }
 
 let run ?(options = default_options) ?cache ntk =
   let t0 = Stp_util.Unix_time.now () in

@@ -83,6 +83,7 @@ type shard = {
   mutable spawned_ns : int;
   mutable respawn_at_ns : int;
   mutable sat : Json.t;  (* last solver-counter block the worker reported *)
+  mutable caches : Json.t;  (* ... and its per-engine NPN cache counters *)
 }
 
 (* Tickets carrying this uid are service-internal probes (per-shard
@@ -273,13 +274,12 @@ let deliver state (t : ticket) resp =
   | None -> state.responses <- state.responses + 1 (* client gone; drop *)
 
 (* Absorb a worker's answer to a service-internal stats probe: keep its
-   solver counter block for the next stats response. *)
+   solver and cache counter blocks for the next stats response. *)
 let absorb_internal shard resp =
   match Json.of_string resp with
-  | Ok json -> (
-    match Json.member "sat" json with
-    | Some sat -> shard.sat <- sat
-    | None -> ())
+  | Ok json ->
+    Option.iter (fun sat -> shard.sat <- sat) (Json.member "sat" json);
+    Option.iter (fun c -> shard.caches <- c) (Json.member "caches" json)
   | Error _ -> ()
 
 (* Ask every live worker for fresh solver counters. The probes ride the
@@ -315,7 +315,8 @@ let shard_json s =
       ("inflight", Json.Int (Queue.length s.inflight));
       ("queued", Json.Int (Queue.length s.waiting));
       ("restarts", Json.Int s.restarts);
-      ("sat", s.sat) ]
+      ("sat", s.sat);
+      ("caches", s.caches) ]
 
 let stalled_now state =
   Hashtbl.fold
@@ -704,7 +705,8 @@ let serve (config : config) =
           restarts = 0;
           spawned_ns = 0;
           respawn_at_ns = 0;
-          sat = Json.Null })
+          sat = Json.Null;
+          caches = Json.Null })
   in
   (* Placeholder conns above never enter the loop: spawn real workers
      first, closing the placeholders. *)

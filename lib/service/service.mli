@@ -26,7 +26,9 @@
       replacement, so a [kill -9]'d shard loses no accepted request;
     - answers [{"type":"ping"}] and [{"type":"stats"}] itself; stats
       includes per-shard routed/answered/queue-depth/restart counts,
-      client and backpressure-stall counts, and the full telemetry
+      each worker's last reported CDCL ([sat]) and per-engine NPN
+      cache ([caches], with [known_timeouts]) counters, client and
+      backpressure-stall counts, and the full telemetry
       snapshot (the same block is exported as the ["service"]
       {!Stp_telemetry.Telemetry} probe).
 

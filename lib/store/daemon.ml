@@ -91,7 +91,22 @@ let sat_json () =
 
 let () = Telemetry.register_probe "sat" (fun () -> sat_json ())
 
-let stats_response config =
+(* Per-engine NPN cache counters: [known_timeouts] counts the requests
+   answered from a class's failure record without a solver call. *)
+let caches_json caches =
+  Report.Obj
+    (List.map
+       (fun (name, cache) ->
+         let s = Npn_cache.stats cache in
+         ( name,
+           Report.Obj
+             [ ("classes", Report.Int (Npn_cache.classes cache));
+               ("hits", Report.Int s.Npn_cache.hits);
+               ("misses", Report.Int s.Npn_cache.misses);
+               ("known_timeouts", Report.Int s.Npn_cache.known_timeouts) ] ))
+       caches)
+
+let stats_response config caches =
   [ ("status", Report.String "ok");
     ("version", Report.String version);
     ("uptime_s", Report.Float (uptime_s ()));
@@ -99,6 +114,7 @@ let stats_response config =
     ("batches", Report.Int (Atomic.get batches_total));
     ("store", store_json config);
     ("sat", sat_json ());
+    ("caches", caches_json caches);
     ("telemetry", Telemetry.snapshot_json ()) ]
 
 (* Histogram per answer provenance: [synthd/source/cache] is a replay,
@@ -118,7 +134,7 @@ let handle config caches line =
     let field name = Report.member name json in
     match field "type" with
     | Some (Report.String "ping") -> respond ?id (pong config)
-    | Some (Report.String "stats") -> respond ?id (stats_response config)
+    | Some (Report.String "stats") -> respond ?id (stats_response config caches)
     | Some (Report.String other) ->
       error_response ?id (Printf.sprintf "unknown request type %S" other)
     | Some _ -> error_response ?id "\"type\" must be a string"
@@ -128,14 +144,19 @@ let handle config caches line =
       let engine_name =
         match field "engine" with Some (Report.String e) -> e | _ -> "STP"
       in
+      (* An infinite budget would pin this worker on a hard class and
+         stall every request queued behind it; [<= 0] (and absent)
+         falls back to the configured default. *)
       let timeout =
         match Option.bind (field "timeout") Report.to_float_opt with
-        | Some t when t > 0.0 -> t
-        | _ -> config.timeout
+        | Some t when not (Float.is_finite t) -> Error "\"timeout\" must be finite"
+        | Some t when t > 0.0 -> Ok t
+        | _ -> Ok config.timeout
       in
-      match Engine.find engine_name with
-      | None -> error_response ?id (Printf.sprintf "unknown engine %S" engine_name)
-      | Some engine -> (
+      match (timeout, Engine.find engine_name) with
+      | Error msg, _ -> error_response ?id msg
+      | _, None -> error_response ?id (Printf.sprintf "unknown engine %S" engine_name)
+      | Ok timeout, Some engine -> (
         match Tt.of_hex ~n hex with
         | exception Invalid_argument msg -> error_response ?id msg
         | target ->

@@ -12,7 +12,13 @@
     - [n] and [tt] give the target as an arity and a hex truth table
       (the format of {!Stp_tt.Tt.of_hex}).
     - [timeout] (seconds, optional) overrides the daemon's default
-      per-request deadline.
+      per-request deadline. A value [<= 0] falls back to the default;
+      a non-finite one (e.g. [1e999], which parses to infinity) is
+      answered with ["error"], since an unbounded solve would pin the
+      worker. The NPN caches remember the budget under which each
+      class timed out ({!Stp_synth.Npn_cache}), so a repeat of a
+      timed-out class at the same or a smaller [timeout] is answered
+      ["upper_bound"] at once; a larger [timeout] solves again.
     - [engine] (optional, default ["STP"]) picks any engine of
       {!Stp_synth.Engine.all} by name, case-insensitively.
 
@@ -46,7 +52,11 @@
       {!version}, [uptime_s] and the store path (or [null]) — a cheap
       liveness probe.
     - [{"type": "stats"}] answers with [status = "ok"], uptime, total
-      request/batch counts, the store persistence stats, and the full
+      request/batch counts, the store persistence stats, the
+      process-wide CDCL counters ([sat]), one [caches] object per
+      engine ([classes], [hits], [misses], [known_timeouts] — the
+      requests answered from a failure record without a solver call),
+      and the full
       {!Stp_telemetry.Telemetry.snapshot_json} — including the
       [synthd/source/*] latency histograms (one per answer provenance:
       [solver], [cache], [degraded], [timeout]) and [synthd/batch],

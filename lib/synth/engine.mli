@@ -29,7 +29,11 @@ type result =
   | Solved of Stp_chain.Chain.t list
       (** all optimum chains found (non-empty; every chain has the same
           optimum size, readable as {!gates}) *)
-  | Timeout  (** the deadline expired before an answer *)
+  | Timeout
+      (** the deadline expired before an answer — or, behind
+          {!Npn_cache.wrap}, the cache knows the target's class already
+          timed out under at least this deadline's budget and did not
+          call the engine *)
   | Infeasible
       (** no chain exists within the spec's constraints: a constant
           target, or every gate count up to [options.max_gates]

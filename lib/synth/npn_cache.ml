@@ -1,10 +1,17 @@
 module Tt = Stp_tt.Tt
 module Npn = Stp_tt.Npn
 module Chain = Stp_chain.Chain
+module Deadline = Stp_util.Deadline
 
 type solver = Engine.spec -> deadline:Stp_util.Deadline.t -> Engine.result
 
-type stats = { hits : int; misses : int; bypassed : int; failures : int }
+type stats = {
+  hits : int;
+  misses : int;
+  bypassed : int;
+  failures : int;
+  known_timeouts : int;
+}
 
 type entry = {
   gates : int;
@@ -14,21 +21,26 @@ type entry = {
 type t = {
   lock : Mutex.t;
   table : (Tt.t, entry) Hashtbl.t;
+  timed_out : (Tt.t, float) Hashtbl.t;
+      (* canonical class -> the largest budget it timed out under *)
   max_support : int;
   mutable hits : int;
   mutable misses : int;
   mutable bypassed : int;
   mutable failures : int;
+  mutable known_timeouts : int;
 }
 
 let create ?(max_support = Npn.max_arity) () =
   { lock = Mutex.create ();
     table = Hashtbl.create 997;
+    timed_out = Hashtbl.create 97;
     max_support = min max_support Npn.max_arity;
     hits = 0;
     misses = 0;
     bypassed = 0;
-    failures = 0 }
+    failures = 0;
+    known_timeouts = 0 }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -39,7 +51,8 @@ let stats t =
       { hits = t.hits;
         misses = t.misses;
         bypassed = t.bypassed;
-        failures = t.failures })
+        failures = t.failures;
+        known_timeouts = t.known_timeouts })
 
 let classes t = locked t (fun () -> Hashtbl.length t.table)
 
@@ -52,7 +65,33 @@ let lookup t canon = locked t (fun () -> Hashtbl.find_opt t.table canon)
 
 let store t canon entry =
   locked t (fun () ->
+      Hashtbl.remove t.timed_out canon;
       if not (Hashtbl.mem t.table canon) then Hashtbl.replace t.table canon entry)
+
+(* A class that timed out under budget [b] is not solved again for a
+   budget [<= b]: such a miss counts as a known timeout and is skipped,
+   any other counts as a miss and is solved. [Deadline.never] (an
+   infinite budget) is never skipped, since only finite budgets are
+   recorded. *)
+let skip_known_timeout t canon budget =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.timed_out canon with
+      | Some b when b >= budget ->
+        t.known_timeouts <- t.known_timeouts + 1;
+        true
+      | _ ->
+        t.misses <- t.misses + 1;
+        false)
+
+let record_timeout t canon budget =
+  if Float.is_finite budget then
+    locked t (fun () ->
+        let b =
+          match Hashtbl.find_opt t.timed_out canon with
+          | Some b -> Float.max b budget
+          | None -> budget
+        in
+        Hashtbl.replace t.timed_out canon b)
 
 let cached t f =
   (* Mirrors [wrap_solver]'s lookup path without touching the stats:
@@ -148,12 +187,16 @@ let wrap_solver t (solve : solver) : solver =
                back to a direct solve and record the event. *)
             locked t (fun () -> t.failures <- t.failures + 1);
             solve spec ~deadline)
+        | None when skip_known_timeout t canon (Deadline.budget deadline) ->
+          Engine.Timeout
         | None -> (
-          locked t (fun () -> t.misses <- t.misses + 1);
           (* Solve the class representative so the cached entry serves
              every member of the class, then replay onto this member. *)
           match solve { spec with Engine.target = canon } ~deadline with
-          | (Engine.Timeout | Engine.Infeasible) as r -> r
+          | Engine.Timeout ->
+            record_timeout t canon (Deadline.budget deadline);
+            Engine.Timeout
+          | Engine.Infeasible -> Engine.Infeasible
           | Engine.Solved chains -> (
             (* The paper's step (iv), run once per class: dedup and
                verify against the canonical target before storing. *)

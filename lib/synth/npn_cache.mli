@@ -21,9 +21,18 @@
     is a replay for every other. (The wrapped solver itself runs
     outside the lock; two domains missing on the same class
     concurrently both solve it, and the first store wins.) Entries are
-    only written for solved instances — timeouts are never cached,
-    since solvability under a wall-clock budget is not a class
-    property.
+    only written for solved instances.
+
+    Timeouts are remembered by budget, not cached as answers. A class
+    whose representative timed out under budget [b]
+    ({!Stp_util.Deadline.budget} of the request's deadline) is not
+    solved again for any request with budget [<= b]: that request
+    returns {!Engine.Timeout} at once without calling the solver, and
+    counts in [known_timeouts]. A request with a larger budget solves
+    again (raising the record to its budget if it also times out), and
+    the first optimal answer clears the record and is stored as usual.
+    {!Stp_util.Deadline.never} is never skipped. Failure records live
+    only in memory: {!entries} does not export them.
 
     Functions whose support exceeds [max_support] (default and upper
     bound {!Stp_tt.Npn.max_arity}, the arity limit of exhaustive
@@ -63,6 +72,9 @@ type stats = {
   failures : int;
     (** replayed chains that failed re-simulation (a transform-algebra
         bug surfaced — the instance was re-solved directly) *)
+  known_timeouts : int;
+    (** lookups answered {!Engine.Timeout} without a solver call: the
+        class had already timed out under at least this budget *)
 }
 
 val stats : t -> stats

@@ -31,4 +31,11 @@ val remaining : t -> float
 (** [remaining d] is the number of seconds left (infinite for
     {!never}). *)
 
+val budget : t -> float
+(** [budget d] is the span [d] was created with: [s] for [after s],
+    [infinity] for {!never}. Unlike {!remaining} it does not shrink
+    while the deadline runs, so two requests made with the same budget
+    compare equal on it — the key {!Stp_synth.Npn_cache} records a
+    class's timeout under. *)
+
 exception Timeout

@@ -175,6 +175,64 @@ let test_timeouts_not_cached () =
   check_solved "after timeout" r2;
   Alcotest.(check int) "class stored" 1 (Npn_cache.classes cache)
 
+let test_known_timeouts_skip_solver () =
+  (* A fake solver behind [wrap_solver] that counts its calls: it times
+     out while [fail] is set and otherwise defers to the STP engine
+     under a generous deadline. *)
+  let calls = ref 0 and fail = ref true in
+  let solver spec ~deadline:_ =
+    incr calls;
+    if !fail then Stp_synth.Engine.Timeout
+    else
+      let (module E : Stp_synth.Engine.S) = Stp_synth.Engine.stp in
+      E.synthesize spec ~deadline:(Spec.deadline_of options)
+  in
+  let cache = Npn_cache.create () in
+  let solve = Npn_cache.wrap_solver cache solver in
+  let run deadline g = solve (Stp_synth.Engine.spec g) ~deadline in
+  let f = Tt.of_hex ~n:4 "8ff8" in
+  let rng = Prng.create 11 in
+  let member () = Npn.apply f (random_transform rng 4) in
+  let is_timeout = function Stp_synth.Engine.Timeout -> true | _ -> false in
+  let after = Stp_util.Deadline.after in
+  Alcotest.(check bool) "first try times out" true (is_timeout (run (after 0.25) f));
+  Alcotest.(check int) "one solver call" 1 !calls;
+  Alcotest.(check bool) "repeat at the same budget times out" true
+    (is_timeout (run (after 0.25) (member ())));
+  Alcotest.(check int) "repeat made no solver call" 1 !calls;
+  Alcotest.(check int) "counted as a known timeout" 1
+    (Npn_cache.stats cache).Npn_cache.known_timeouts;
+  (* A larger budget solves again; the optimum replaces the failure. *)
+  fail := false;
+  let g = member () in
+  (match run (after 0.5) g with
+   | Stp_synth.Engine.Solved chains ->
+     List.iter
+       (fun c ->
+         Alcotest.(check bool) "simulates" true (Tt.equal (Chain.simulate c) g))
+       chains
+   | _ -> Alcotest.fail "a larger budget must re-solve");
+  Alcotest.(check int) "larger budget called the solver" 2 !calls;
+  Alcotest.(check int) "class stored" 1 (Npn_cache.classes cache);
+  (match run (after 0.25) (member ()) with
+   | Stp_synth.Engine.Solved _ -> ()
+   | _ -> Alcotest.fail "next member must replay");
+  let s = Npn_cache.stats cache in
+  Alcotest.(check int) "next member is a hit" 1 s.Npn_cache.hits;
+  Alcotest.(check int) "no further solver call" 2 !calls;
+  Alcotest.(check int) "still one known timeout" 1 s.Npn_cache.known_timeouts;
+  (* [Deadline.never] is never skipped, even after a timeout. *)
+  let cache = Npn_cache.create () in
+  let solve = Npn_cache.wrap_solver cache solver in
+  fail := true;
+  calls := 0;
+  ignore (solve (Stp_synth.Engine.spec f) ~deadline:(after 0.25));
+  ignore (solve (Stp_synth.Engine.spec f) ~deadline:Stp_util.Deadline.never);
+  ignore (solve (Stp_synth.Engine.spec f) ~deadline:Stp_util.Deadline.never);
+  Alcotest.(check int) "never always calls the solver" 3 !calls;
+  Alcotest.(check int) "no known timeouts" 0
+    (Npn_cache.stats cache).Npn_cache.known_timeouts
+
 let () =
   Alcotest.run "npn_cache"
     [ ( "replay",
@@ -192,4 +250,6 @@ let () =
           Alcotest.test_case "trivial targets skip" `Quick
             test_trivial_targets_skip_cache;
           Alcotest.test_case "timeouts not cached" `Quick
-            test_timeouts_not_cached ] ) ]
+            test_timeouts_not_cached;
+          Alcotest.test_case "known timeouts skip the solver" `Quick
+            test_known_timeouts_skip_solver ] ) ]

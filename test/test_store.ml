@@ -392,6 +392,81 @@ let test_handle_degrades_on_timeout () =
   | Some (Report.Int g) -> Alcotest.(check bool) "has gates" true (g > 0)
   | _ -> Alcotest.fail "upper bound carries a gate count"
 
+(* Parse a chain as the daemon prints it ("x7=6(x1,x2); ...; f=!x9")
+   back into a [Chain.t]. *)
+let chain_of_compact ~n text =
+  let steps = ref [] and output = ref None in
+  List.iter
+    (fun part ->
+      match String.trim part with
+      | "" -> ()
+      | part when String.length part > 2 && String.sub part 0 2 = "f=" ->
+        output :=
+          Some
+            (if part.[2] = '!' then Scanf.sscanf part "f=!x%d" (fun o -> (o - 1, true))
+             else Scanf.sscanf part "f=x%d" (fun o -> (o - 1, false)))
+      | part ->
+        Scanf.sscanf part "x%d=%x(x%d,x%d)" (fun _ gate a b ->
+            steps := { Chain.fanin1 = a - 1; fanin2 = b - 1; gate } :: !steps))
+    (String.split_on_char ';' text);
+  match !output with
+  | Some (output, output_negated) ->
+    Chain.make ~n ~steps:(List.rev !steps) ~output ~output_negated ()
+  | None -> Alcotest.failf "chain %S has no output" text
+
+let test_handle_skips_known_timeouts () =
+  (* Two members of one hard 6-variable class under the same microscopic
+     budget: the first times out in the solver, the second is answered
+     from the cache's failure record. Both still get a verified upper
+     bound for their own member. *)
+  let f = Tt.of_hex ~n:6 "b4d2693996c85a17" in
+  let g =
+    Stp_tt.Npn.apply f
+      { Stp_tt.Npn.perm = [| 2; 0; 5; 1; 4; 3 |]; input_neg = 0b101001;
+        output_neg = true }
+  in
+  let cache = Npn_cache.create () in
+  List.iter
+    (fun member ->
+      let resp =
+        parse_response
+          (Daemon.handle Daemon.default_config
+             [ ("STP", cache) ]
+             (Daemon.request ~timeout:1e-6 ~n:6 (Tt.to_hex member)))
+      in
+      Alcotest.(check (option string)) "degraded status" (Some "upper_bound")
+        (get_string "status" resp);
+      match Report.member "chains" resp with
+      | Some (Report.List [ Report.String c ]) ->
+        Alcotest.(check bool) "bound simulates to its member" true
+          (Tt.equal (Chain.simulate (chain_of_compact ~n:6 c)) member)
+      | _ -> Alcotest.fail "upper bound carries one chain")
+    [ f; g ];
+  let s = Npn_cache.stats cache in
+  Alcotest.(check int) "second member skipped the solver" 1
+    s.Npn_cache.known_timeouts;
+  Alcotest.(check int) "one solver call" 1 s.Npn_cache.misses;
+  let stats =
+    parse_response
+      (Daemon.handle Daemon.default_config [ ("STP", cache) ]
+         (Daemon.control "stats"))
+  in
+  let field name = function Some j -> Report.member name j | None -> None in
+  Alcotest.(check bool) "stats reply: caches.STP.known_timeouts = 1" true
+    (Some stats |> field "caches" |> field "STP" |> field "known_timeouts"
+     = Some (Report.Int 1))
+
+let test_handle_rejects_infinite_timeout () =
+  (* [1e999] parses to infinity; an unbounded deadline would pin the
+     worker, so the request is refused rather than solved. *)
+  let resp =
+    parse_response
+      (Daemon.handle Daemon.default_config []
+         {|{"n":4,"tt":"8ff8","timeout":1e999}|})
+  in
+  Alcotest.(check (option string)) "non-finite timeout" (Some "error")
+    (get_string "status" resp)
+
 let test_handle_rejects_malformed () =
   let status line = get_string "status" (parse_response (Daemon.handle Daemon.default_config [] line)) in
   Alcotest.(check (option string)) "bad JSON" (Some "error") (status "{nope");
@@ -440,7 +515,11 @@ let () =
             test_handle_cache_attribution;
           Alcotest.test_case "degrades to an upper bound" `Quick
             test_handle_degrades_on_timeout;
+          Alcotest.test_case "skips known timeouts" `Quick
+            test_handle_skips_known_timeouts;
           Alcotest.test_case "rejects malformed requests" `Quick
             test_handle_rejects_malformed;
+          Alcotest.test_case "rejects a non-finite timeout" `Quick
+            test_handle_rejects_infinite_timeout;
           Alcotest.test_case "constants are infeasible" `Quick
             test_handle_infeasible_constant ] ) ]

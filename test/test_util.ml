@@ -134,6 +134,15 @@ let test_deadline_remaining () =
   Alcotest.(check bool) "never infinite" true
     (Deadline.remaining Deadline.never = infinity)
 
+let test_deadline_budget () =
+  (* The budget is the creation span, not the time left: it does not
+     shrink as the deadline runs. *)
+  let d = Deadline.after 0.5 in
+  while Deadline.remaining d >= 0.499 do () done;
+  Alcotest.(check (float 0.0)) "after 0.5" 0.5 (Deadline.budget d);
+  Alcotest.(check bool) "never is infinite" true
+    (Deadline.budget Deadline.never = infinity)
+
 let qcheck_vec_roundtrip =
   QCheck.Test.make ~name:"vec of_list/to_list roundtrip" ~count:200
     QCheck.(list int)
@@ -171,4 +180,5 @@ let () =
           Alcotest.test_case "expires" `Quick test_deadline_expires;
           Alcotest.test_case "check raises" `Quick test_deadline_check_raises;
           Alcotest.test_case "poll interval" `Quick test_deadline_poll_interval;
-          Alcotest.test_case "remaining" `Quick test_deadline_remaining ] ) ]
+          Alcotest.test_case "remaining" `Quick test_deadline_remaining;
+          Alcotest.test_case "budget" `Quick test_deadline_budget ] ) ]

@@ -26,18 +26,33 @@ let expand_chain ~n ~support chain =
   Chain.make ~n ~steps ~output:(map chain.Chain.output)
     ~output_negated:chain.Chain.output_negated ()
 
-let optimal_and_verified target chains =
+(* Dedup key: the normalised chain's steps, output and output flag. *)
+module Chain_key = Hashtbl.Make (struct
+  type t = Chain.t
+
+  let equal = Chain.equal
+
+  let hash (c : Chain.t) =
+    Array.fold_left
+      (fun h (s : Chain.step) ->
+        (h * 65599) + (s.fanin1 lsl 12) + (s.fanin2 lsl 4) + s.gate)
+      ((2 * c.Chain.output) + Bool.to_int c.Chain.output_negated)
+      c.Chain.steps
+end)
+
+let optimal_and_verified ?(deadline = Stp_util.Deadline.never) target chains =
   Stp_util.Profile.time Stp_util.Profile.Verify @@ fun () ->
-  let seen = Hashtbl.create 97 in
+  let seen = Chain_key.create 97 in
+  let session = Stp_circuitsat.Circuit_solver.session ~n:(Tt.num_vars target) in
   List.filter
     (fun c ->
-      let c' = Chain.normalise_fanin_order c in
-      let key = Format.asprintf "%a" Chain.pp_compact c' in
-      if Hashtbl.mem seen key then false
+      Stp_util.Deadline.check deadline;
+      let key = Chain.normalise_fanin_order c in
+      if Chain_key.mem seen key then false
       else begin
-        Hashtbl.replace seen key ();
+        Chain_key.replace seen key ();
         Stp_util.Profile.incr Stp_util.Profile.Chains_verified;
         Tt.equal (Chain.simulate c) target
-        && Stp_circuitsat.Circuit_solver.verify_chain c target
+        && Stp_circuitsat.Circuit_solver.verify session c target
       end)
     chains

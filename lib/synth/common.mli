@@ -18,7 +18,21 @@ val expand_chain :
     [n]-variable space. *)
 
 val optimal_and_verified :
+  ?deadline:Stp_util.Deadline.t ->
   Stp_tt.Tt.t -> Stp_chain.Chain.t list -> Stp_chain.Chain.t list
-(** Deduplicate (up to fanin order) and keep only chains that simulate
-    to the target {e and} pass the circuit-solver verification — the
-    paper's step (iv). *)
+(** [optimal_and_verified target chains] deduplicates [chains] up to
+    fanin order and keeps, in order, only chains that simulate to the
+    target {e and} pass the circuit-solver verification — the paper's
+    step (iv).
+
+    The dedup key is structural: the steps, output and output flag of
+    {!Stp_chain.Chain.normalise_fanin_order}'s form of the chain, so the
+    first of two chains that differ only in the operand order of their
+    gates is kept. The circuit check runs in one
+    {!Stp_circuitsat.Circuit_solver.session} per call, so chains that
+    share sub-chains (as DSD joins produce) share their cones' solution
+    sets; nothing is kept between calls.
+
+    [deadline] (default {!Stp_util.Deadline.never}) is checked once per
+    chain, before it is verified.
+    @raise Stp_util.Deadline.Timeout when [deadline] has expired. *)

@@ -69,7 +69,7 @@ let search_shapes ~options ~deadline ~memo ~stats target r =
                ~cap:options.Spec.solution_cap ~shape ~target ()
            in
            if chains <> [] then begin
-             let verified = Common.optimal_and_verified target chains in
+             let verified = Common.optimal_and_verified ~deadline target chains in
              found := verified @ !found;
              (* Paper semantics: all optimal solutions under the current
                 topological constraints, in one pass. *)
@@ -78,7 +78,8 @@ let search_shapes ~options ~deadline ~memo ~stats target r =
            end
          end)
    with Found_enough -> ());
-  if options.Spec.all_shapes then Common.optimal_and_verified target !found
+  if options.Spec.all_shapes then
+    Common.optimal_and_verified ~deadline target !found
   else !found
 
 (* Synthesis of one target over the full reduced variable space. Returns
@@ -143,7 +144,7 @@ and synth_uncached ~options ~deadline ~memo ~stats ~cache target =
          triples;
         (match !best with
          | Some gates when !chains <> [] ->
-           let verified = Common.optimal_and_verified target !chains in
+           let verified = Common.optimal_and_verified ~deadline target !chains in
            assert (verified <> []);
            Some (gates, verified)
          | _ -> None)

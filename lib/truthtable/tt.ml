@@ -218,21 +218,24 @@ let hash t =
 let apply2 code a b =
   check_arity a b;
   if code < 0 || code > 15 then invalid_arg "Tt.apply2";
-  (* out = OR over the minterms of [code] of (a-factor AND b-factor). *)
-  let n = a.n in
-  let acc = ref (zero n) in
-  let lift va vb =
-    let fa = if va = 1 then a else bnot a in
-    let fb = if vb = 1 then b else bnot b in
-    band fa fb
-  in
-  for va = 0 to 1 do
-    for vb = 0 to 1 do
-      if (code lsr ((2 * va) + vb)) land 1 = 1 then
-        acc := bor !acc (lift va vb)
-    done
-  done;
-  !acc
+  (* out = OR over the minterms (va, vb) of [code] of (a-literal AND
+     b-literal), one word at a time; [sel i] is all ones when bit [i]
+     of [code] is set. *)
+  let sel i = Int64.neg (Int64.of_int ((code lsr i) land 1)) in
+  let s00 = sel 0 and s01 = sel 1 and s10 = sel 2 and s11 = sel 3 in
+  let m = small_mask a.n in
+  map2
+    (fun x y ->
+      let nx = Int64.lognot x and ny = Int64.lognot y in
+      Int64.logand m
+        (Int64.logor
+           (Int64.logor
+              (Int64.logand s00 (Int64.logand nx ny))
+              (Int64.logand s01 (Int64.logand nx y)))
+           (Int64.logor
+              (Int64.logand s10 (Int64.logand x ny))
+              (Int64.logand s11 (Int64.logand x y)))))
+    a b
 
 let cofactor t i b =
   if i < 0 || i >= t.n then invalid_arg "Tt.cofactor";

@@ -203,6 +203,170 @@ let qcheck_count_equals_popcount =
       Solver.count_solutions net ~targets:[| true |]
       = Tt.count_ones (Chain.simulate c))
 
+(* --- the packed solver against the list-based oracle --- *)
+
+module Oracle = Circuit_solver_oracle
+
+let cube_set cubes =
+  List.sort compare (List.map (fun c -> (c.Solver.mask, c.Solver.value)) cubes)
+
+(* A random network over [n] inputs: 1-3-input LUTs reading any earlier
+   signals (so fanins are shared and paths reconverge), one to three
+   outputs. *)
+let random_network rng =
+  let n = 1 + Prng.int rng 8 in
+  let k = 1 + Prng.int rng 6 in
+  let luts =
+    List.init k (fun i ->
+        let arity = 1 + Prng.int rng 3 in
+        let fanins = Array.init arity (fun _ -> Prng.int rng (n + i)) in
+        let tt = Tt.of_fun arity (fun _ -> Prng.bool rng) in
+        { Net.tt; fanins })
+  in
+  let outputs =
+    List.init (1 + Prng.int rng 3) (fun _ -> n + Prng.int rng k)
+  in
+  Net.make ~num_inputs:n ~luts ~outputs
+
+let test_oracle_networks () =
+  let rng = Prng.create 41 in
+  for _ = 1 to 400 do
+    let net = random_network rng in
+    let targets = Array.map (fun _ -> Prng.bool rng) net.Net.outputs in
+    let expected = Oracle.solve net ~targets in
+    Alcotest.(check (list (pair int int)))
+      "cube set" (cube_set expected)
+      (cube_set (Solver.solve net ~targets));
+    let oracle_onset = Oracle.onset net ~targets in
+    Alcotest.(check bool) "onset" true
+      (Tt.equal oracle_onset (Solver.onset net ~targets));
+    Alcotest.(check int) "count_solutions" (Tt.count_ones oracle_onset)
+      (Solver.count_solutions net ~targets);
+    Alcotest.(check bool) "is_sat" (expected <> [])
+      (Solver.is_sat net ~targets)
+  done
+
+let test_oracle_merge_sets () =
+  (* Arbitrary sets, with duplicates and subsumed cubes on either side. *)
+  let rng = Prng.create 43 in
+  let random_set () =
+    List.init (Prng.int rng 6) (fun _ ->
+        let mask = Prng.bits rng 5 in
+        { Solver.mask; value = Prng.bits rng 5 land mask })
+  in
+  for _ = 1 to 500 do
+    let xs = random_set () and ys = random_set () in
+    Alcotest.(check (list (pair int int)))
+      "merge_sets" (cube_set (Oracle.merge_sets xs ys))
+      (cube_set (Solver.merge_sets xs ys))
+  done
+
+let random_chain rng ~n ~k =
+  let steps =
+    List.init k (fun i ->
+        let hi = n + i in
+        let f1 = Prng.int rng hi in
+        let f2 = (f1 + 1 + Prng.int rng (hi - 1)) mod hi in
+        { Chain.fanin1 = f1; fanin2 = f2; gate = Prng.int rng 16 })
+  in
+  Chain.make ~n ~steps ~output:(Prng.int rng (n + k))
+    ~output_negated:(Prng.bool rng) ()
+
+(* [f] with one minterm flipped: a target every correct check rejects. *)
+let flip_one rng f =
+  let m = Prng.int rng (Tt.num_bits f) in
+  Tt.set f m (not (Tt.get f m))
+
+let test_oracle_verify_chain () =
+  let rng = Prng.create 47 in
+  for _ = 1 to 300 do
+    let n = 2 + Prng.int rng 7 in
+    let c = random_chain rng ~n ~k:(1 + Prng.int rng 8) in
+    let f = Chain.simulate c in
+    List.iter
+      (fun target ->
+        Alcotest.(check bool) "verify_chain = oracle"
+          (Oracle.verify_chain c target)
+          (Solver.verify_chain c target))
+      [ f; flip_one rng f; Tt.bnot f ]
+  done
+
+(* DSD-composed chains: every chain of a pool over inputs 0-3 joined to
+   every chain of a pool over inputs 4-7 by a top gate, all verified in
+   one session, so later chains reuse the cones of earlier ones. *)
+let test_oracle_dsd_session () =
+  let rng = Prng.create 53 in
+  let n = 8 in
+  let pool ~shift =
+    List.init 4 (fun _ ->
+        let k = 1 + Prng.int rng 3 in
+        let steps =
+          List.init k (fun i ->
+              let pick () =
+                let j = Prng.int rng (4 + i) in
+                if j < 4 then j + shift else n + j - 4
+              in
+              let f1 = pick () in
+              let rec other () =
+                let f2 = pick () in
+                if f2 = f1 then other () else f2
+              in
+              { Chain.fanin1 = f1; fanin2 = other (); gate = Prng.int rng 16 })
+        in
+        (steps, k))
+  in
+  let join (gs, kg) (hs, kh) top =
+    let move s = if s < n then s else s + kg in
+    let hs =
+      List.map
+        (fun (st : Chain.step) ->
+          { st with Chain.fanin1 = move st.fanin1; fanin2 = move st.fanin2 })
+        hs
+    in
+    let steps =
+      gs @ hs
+      @ [ { Chain.fanin1 = n + kg - 1; fanin2 = n + kg + kh - 1; gate = top } ]
+    in
+    Chain.make ~n ~steps ~output:(n + kg + kh) ~output_negated:(Prng.bool rng) ()
+  in
+  let session = Solver.session ~n in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun h ->
+          let c = join g h (Prng.int rng 16) in
+          let f = Chain.simulate c in
+          List.iter
+            (fun target ->
+              Alcotest.(check bool) "session verify = oracle"
+                (Oracle.verify_chain c target)
+                (Solver.verify session c target))
+            [ f; flip_one rng f ])
+        (pool ~shift:4))
+    (pool ~shift:0)
+
+let test_session_soundness () =
+  (* A copy of the Example 7 chain with the top gate flipped shares both
+     sub-cones of the original; the memo they share must not let it
+     pass, before or after the original is verified. *)
+  let f = Tt.of_hex ~n:4 "8ff8" in
+  let steps = Array.to_list example7_chain.Chain.steps in
+  let flipped =
+    Chain.make ~n:4
+      ~steps:
+        (List.mapi (fun i s -> if i = 2 then { s with Chain.gate = 8 } else s) steps)
+      ~output:6 ()
+  in
+  let s = Solver.session ~n:4 in
+  Alcotest.(check bool) "flipped rejected" false (Solver.verify s flipped f);
+  Alcotest.(check bool) "original accepted" true (Solver.verify s example7_chain f);
+  Alcotest.(check bool) "flipped still rejected" false (Solver.verify s flipped f);
+  Alcotest.(check bool) "flipped matches its own function" true
+    (Solver.verify s flipped (Chain.simulate flipped));
+  Alcotest.check_raises "other arity"
+    (Invalid_argument "Circuit_solver.verify: arity") (fun () ->
+      ignore (Solver.verify s (Chain.make ~n:3 ~steps:[] ~output:0 ()) f))
+
 let () =
   Alcotest.run "circuitsat"
     [ ( "network",
@@ -223,4 +387,12 @@ let () =
           Alcotest.test_case "minterms sorted" `Quick test_all_minterms_sorted;
           Alcotest.test_case "verify rejects wrong target" `Quick
             test_verify_rejects_wrong;
-          QCheck_alcotest.to_alcotest qcheck_count_equals_popcount ] ) ]
+          QCheck_alcotest.to_alcotest qcheck_count_equals_popcount ] );
+      ( "oracle",
+        [ Alcotest.test_case "random LUT networks" `Quick test_oracle_networks;
+          Alcotest.test_case "merge_sets" `Quick test_oracle_merge_sets;
+          Alcotest.test_case "verify_chain on random chains" `Quick
+            test_oracle_verify_chain;
+          Alcotest.test_case "DSD-composed chains in one session" `Quick
+            test_oracle_dsd_session;
+          Alcotest.test_case "session soundness" `Quick test_session_soundness ] ) ]

@@ -582,6 +582,100 @@ let test_deadline_binds () =
     Alcotest.failf "1 s deadline returned after %.2f s (reported %.2f s)" wall
       r.Spec.elapsed
 
+(* --- step (iv): Common.optimal_and_verified --- *)
+
+module Common = Stp_synth.Common
+module Deadline = Stp_util.Deadline
+
+let example7_steps =
+  [ { Chain.fanin1 = 2; fanin2 = 3; gate = 6 };
+    { Chain.fanin1 = 0; fanin2 = 1; gate = 8 };
+    { Chain.fanin1 = 4; fanin2 = 5; gate = 14 } ]
+
+let test_verify_expired_deadline () =
+  let f = Tt.of_hex ~n:4 "8ff8" in
+  let c = Chain.make ~n:4 ~steps:example7_steps ~output:6 () in
+  let expired = Deadline.after (-1.0) in
+  Alcotest.check_raises "non-empty batch" Deadline.Timeout (fun () ->
+      ignore (Common.optimal_and_verified ~deadline:expired f [ c ]));
+  Alcotest.(check int) "empty batch polls nothing" 0
+    (List.length (Common.optimal_and_verified ~deadline:expired f []))
+
+let test_verify_session_soundness () =
+  (* The flipped copy (top OR turned into AND) shares both sub-cones of
+     the Example 7 chain; whichever order they come in, only the correct
+     chain survives. *)
+  let f = Tt.of_hex ~n:4 "8ff8" in
+  let good = Chain.make ~n:4 ~steps:example7_steps ~output:6 () in
+  let flipped =
+    Chain.make ~n:4
+      ~steps:
+        (List.mapi
+           (fun i s -> if i = 2 then { s with Chain.gate = 8 } else s)
+           example7_steps)
+      ~output:6 ()
+  in
+  List.iter
+    (fun batch ->
+      let kept = Common.optimal_and_verified f batch in
+      Alcotest.(check int) "one survivor" 1 (List.length kept);
+      Alcotest.(check bool) "the correct chain" true
+        (Chain.equal (List.hd kept) good))
+    [ [ good; flipped ]; [ flipped; good ]; [ flipped; good; flipped; good ] ]
+
+let test_verify_calls_do_not_share () =
+  (* The same step records mean different cones at n = 3 (signal 3 is a
+     gate) and n = 4 (signal 3 is an input); back-to-back calls must each
+     verify against their own arity. *)
+  let steps =
+    [ { Chain.fanin1 = 0; fanin2 = 1; gate = 8 };
+      { Chain.fanin1 = 2; fanin2 = 3; gate = 6 } ]
+  in
+  for _ = 1 to 2 do
+    List.iter
+      (fun n ->
+        let c = Chain.make ~n ~steps ~output:(n + 1) () in
+        let f = Chain.simulate c in
+        Alcotest.(check int) "kept at its arity" 1
+          (List.length (Common.optimal_and_verified f [ c ]));
+        Alcotest.(check int) "complement rejected" 0
+          (List.length (Common.optimal_and_verified (Tt.bnot f) [ c ])))
+      [ 3; 4; 3 ]
+  done
+
+let test_deadline_binds_through_verification () =
+  (* DSD peeling of an 8-variable PDSD target with 2000 optimum chains
+     spends much of its run verifying composed chains. Deadlines that
+     expire anywhere in the run, verification included, must each end
+     it within 0.05 s. The budgets are shares of the fastest of three
+     full runs; a run that beats that calibration may still answer, but
+     only inside its budget, and the smallest budget must time out. *)
+  let f = Stp_workloads.Dsd_gen.pdsd ~n:8 ~seed:1008 in
+  let run deadline =
+    let t0 = Stp_util.Unix_time.now () in
+    let r = Stp_exact.synthesize_outcome ~deadline f in
+    (r, Stp_util.Unix_time.now () -. t0)
+  in
+  let full =
+    List.fold_left min infinity
+      (List.init 3 (fun _ ->
+           match run Deadline.never with
+           | `Solved _, wall -> wall
+           | _ -> Alcotest.fail "pdsd8 target unsolved without a deadline"))
+  in
+  List.iteri
+    (fun i share ->
+      let budget = share *. full in
+      match run (Deadline.after budget) with
+      | `Timeout, wall when wall <= budget +. 0.05 -> ()
+      | `Timeout, wall ->
+        Alcotest.failf "%.3f s deadline returned after %.3f s" budget wall
+      | `Solved _, wall when i > 0 && wall <= budget -> ()
+      | _, wall ->
+        Alcotest.failf "no Timeout under %.3f s (answered after %.3f s)" budget
+          wall)
+    [ 0.1; 0.2; 0.3; 0.4; 0.5 ]
+
 let test_synthesize_npn_agrees () =
   let rng = Prng.create 57 in
   let options = Spec.with_timeout 30.0 in
@@ -677,7 +771,16 @@ let () =
           Alcotest.test_case "npn variant, 7 inputs" `Quick test_synthesize_npn_wide;
           Alcotest.test_case "fdsd6 optimum" `Slow test_fdsd6_optimum;
           Alcotest.test_case "deadline binds on a wide target" `Quick
-            test_deadline_binds ] );
+            test_deadline_binds;
+          Alcotest.test_case "deadline binds through verification" `Quick
+            test_deadline_binds_through_verification ] );
+      ( "verify",
+        [ Alcotest.test_case "expired deadline" `Quick
+            test_verify_expired_deadline;
+          Alcotest.test_case "session soundness" `Quick
+            test_verify_session_soundness;
+          Alcotest.test_case "calls do not share a session" `Quick
+            test_verify_calls_do_not_share ] );
       ( "baselines",
         [ Alcotest.test_case "known optima" `Slow test_baselines_known_optima;
           Alcotest.test_case "engines agree" `Slow test_engines_agree_random;

@@ -99,6 +99,25 @@ let test_apply2_gates () =
   Alcotest.(check bool) "proj a" true (Tt.equal (Tt.apply2 12 a b) a);
   Alcotest.(check bool) "proj b" true (Tt.equal (Tt.apply2 10 a b) b)
 
+let test_apply2_bitwise () =
+  (* Every code on random tables of 1-8 variables, against the gate's
+     definition minterm by minterm: bit [2 * va + vb] of the code. *)
+  let rng = Prng.create 29 in
+  for n = 1 to 8 do
+    let a = random_tt rng n and b = random_tt rng n in
+    for code = 0 to 15 do
+      let expected =
+        Tt.of_fun n (fun m ->
+            let va = Bool.to_int (Tt.get a m) and vb = Bool.to_int (Tt.get b m) in
+            (code lsr ((2 * va) + vb)) land 1 = 1)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "code %d, %d vars" code n)
+        true
+        (Tt.equal (Tt.apply2 code a b) expected)
+    done
+  done
+
 let test_cofactor () =
   let f = Tt.of_hex ~n:4 "8ff8" in
   for i = 0 to 3 do
@@ -409,7 +428,8 @@ let () =
           Alcotest.test_case "compose" `Quick test_compose;
           Alcotest.test_case "shrink/expand" `Quick test_shrink_expand;
           QCheck_alcotest.to_alcotest qcheck_permute_preserves_count;
-          QCheck_alcotest.to_alcotest qcheck_cofactor_count ] );
+          QCheck_alcotest.to_alcotest qcheck_cofactor_count;
+          Alcotest.test_case "apply2 bitwise" `Quick test_apply2_bitwise ] );
       ( "npn",
         [ Alcotest.test_case "class counts" `Quick test_npn_classes_counts;
           Alcotest.test_case "canonical invariance" `Quick

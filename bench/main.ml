@@ -150,16 +150,16 @@ let micro () =
     let a = var 0 and b = var 1 and c = var 2 in
     ((a <=> not_ b) && (b <=> not_ c)) && (c <=> (not_ a && not_ b))
   in
-  let synth_options = Stp_synth.Spec.with_timeout 10.0 in
+  let deadline () = Stp_util.Deadline.after 10.0 in
   let tests =
     [ (* Table I's headline path: STP exact synthesis of a DSD function *)
       Test.make ~name:"table1/stp-fdsd6"
         (Staged.stage (fun () ->
-             ignore (Stp_synth.Stp_exact.synthesize ~options:synth_options fdsd6)));
+             ignore (Stp_synth.Stp_exact.synthesize ~deadline:(deadline ()) fdsd6)));
       Test.make ~name:"table1/bms-xor4"
         (Staged.stage (fun () ->
              ignore
-               (Stp_synth.Baselines.bms ~options:synth_options
+               (Stp_synth.Baselines.bms ~deadline:(deadline ())
                   (Tt.of_hex ~n:4 "6996"))));
       (* Fig. 1: canonical form + AllSAT *)
       Test.make ~name:"fig1/liar-allsat"
@@ -402,7 +402,7 @@ let sat_bench ~corpus () =
     "targets" "solved" "timeouts" "wall_s" "conflicts";
   let sweep_rows =
     List.concat_map
-      (fun (name, outcome) ->
+      (fun (name, (engine : Stp_synth.Baselines.engine)) ->
         List.map
           (fun incremental ->
             let before = Solver.Totals.snapshot () in
@@ -410,11 +410,11 @@ let sat_bench ~corpus () =
             let solved = ref 0 and timeouts = ref 0 in
             List.iter
               (fun f ->
-                let options = Stp_synth.Spec.with_timeout sweep_timeout in
-                let deadline = Stp_synth.Spec.deadline_of options in
-                match outcome ~incremental ~options ~deadline f with
-                | `Solved _ -> incr solved
-                | `Timeout | `Infeasible -> incr timeouts)
+                let deadline = Stp_util.Deadline.after sweep_timeout in
+                match engine ~incremental ~deadline f with
+                | Stp_synth.Spec.Solved _ -> incr solved
+                | Stp_synth.Spec.Timeout | Stp_synth.Spec.Infeasible ->
+                  incr timeouts)
               targets;
             let wall =
               float_of_int (Stp_util.Profile.now_ns () - t0) *. 1e-9
@@ -436,12 +436,7 @@ let sat_bench ~corpus () =
                 ("propagations", Int (delta "propagations"));
                 ("solvers", Int (delta "solvers")) ])
           [ false; true ])
-      [ ("BMS",
-         fun ~incremental ~options ~deadline f ->
-           Stp_synth.Baselines.bms_outcome ~incremental ~options ~deadline f);
-        ("FEN",
-         fun ~incremental ~options ~deadline f ->
-           Stp_synth.Baselines.fen_outcome ~incremental ~options ~deadline f) ]
+      [ ("BMS", Stp_synth.Baselines.bms); ("FEN", Stp_synth.Baselines.fen) ]
   in
   let json =
     Obj
@@ -530,8 +525,9 @@ let ablations () =
       (fun () ->
         List.iter
           (fun f ->
-            match Stp_synth.Stp_exact.synthesize ~options f with
-            | { Stp_synth.Spec.status = Stp_synth.Spec.Solved; chains; _ } ->
+            let deadline = Stp_util.Deadline.after bench_timeout in
+            match Stp_synth.Stp_exact.synthesize ~options ~deadline f with
+            | Stp_synth.Spec.Solved chains ->
               incr solved;
               sols := !sols + List.length chains
             | _ -> ())
@@ -546,7 +542,7 @@ let ablations () =
       (List.length fns) !sols elapsed
   in
   let pdsd6 = Stp_workloads.Dsd_gen.pdsd_collection ~n:6 ~count:10 ~seed:303 in
-  let base = Stp_synth.Spec.with_timeout bench_timeout in
+  let base = Stp_synth.Spec.default_options in
   run "PDSD6 with DSD peeling (default)" base pdsd6;
   run "PDSD6 without DSD peeling"
     { base with Stp_synth.Spec.use_dsd = false }

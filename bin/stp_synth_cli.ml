@@ -50,30 +50,36 @@ let synthesize_cmd hex n engine timeout all verbose basis max_depth output =
       exit 2
   in
   let options =
-    { (Stp_synth.Spec.with_timeout timeout) with
-      Stp_synth.Spec.solution_cap = (if all then 10_000 else 1);
+    { Stp_synth.Spec.default_options with
+      solution_cap = (if all then 10_000 else 1);
       basis = parse_basis basis;
       max_depth = (if max_depth <= 0 then None else Some max_depth) }
   in
-  let result =
-    match engine with
-    | "stp" -> Stp_synth.Stp_exact.synthesize ~options f
-    | "bms" -> Stp_synth.Baselines.bms ~options f
-    | "fen" -> Stp_synth.Baselines.fen ~options f
-    | "abc" -> Stp_synth.Baselines.abc ~options f
-    | other ->
-      Printf.eprintf "error: unknown engine %s (stp|bms|fen|abc)\n" other;
+  let (module E : Stp_synth.Engine.S) =
+    match Stp_synth.Engine.find engine with
+    | Some e -> e
+    | None ->
+      Printf.eprintf "error: unknown engine %s (stp|bms|fen|abc)\n" engine;
       exit 2
   in
-  match result.Stp_synth.Spec.status with
-  | Stp_synth.Spec.Timeout ->
-    Printf.printf "timeout after %.2fs\n" result.Stp_synth.Spec.elapsed;
+  let start = Stp_util.Unix_time.now () in
+  let result =
+    E.synthesize (Stp_synth.Engine.spec ~options f)
+      ~deadline:(Stp_util.Deadline.after timeout)
+  in
+  let elapsed = Stp_util.Unix_time.now () -. start in
+  match result with
+  | Stp_synth.Engine.Timeout ->
+    Printf.printf "timeout after %.2fs\n" elapsed;
     exit 1
-  | Stp_synth.Spec.Solved ->
-    let gates = Option.get result.Stp_synth.Spec.gates in
-    let chains = result.Stp_synth.Spec.chains in
-    Printf.printf "optimum: %d gates; %d chain(s); %.3fs\n" gates
-      (List.length chains) result.Stp_synth.Spec.elapsed;
+  | Stp_synth.Engine.Infeasible ->
+    Printf.printf "infeasible: no chain of at most %d gates (%.2fs)\n"
+      options.max_gates elapsed;
+    exit 3
+  | Stp_synth.Engine.Solved chains ->
+    Printf.printf "optimum: %d gates; %d chain(s); %.3fs\n"
+      (Option.get (Stp_synth.Engine.gates result))
+      (List.length chains) elapsed;
     List.iteri
       (fun i c ->
         if verbose then Format.printf "--- solution %d ---@.%a@." (i + 1)
@@ -125,8 +131,16 @@ let output_arg =
 
 let cmd =
   let doc = "exact synthesis via the semi-tensor-product circuit solver" in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"the deadline expired before an answer."
+    :: Cmd.Exit.info 3
+         ~doc:
+           "no chain exists within the gate limit, the basis and the depth \
+            bound."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "stp_synth" ~doc)
+    (Cmd.info "stp_synth" ~doc ~exits)
     Term.(
       const synthesize_cmd $ hex_arg $ n_arg $ engine_arg $ timeout_arg
       $ all_arg $ verbose_arg $ basis_arg $ depth_arg $ output_arg)

@@ -105,9 +105,9 @@ let run collections timeout scale jobs no_npn_cache json_path csv cross_check
           (if jobs = 1 then "" else "s")
           (if no_npn_cache then "" else ", npn-cache on");
         let optima : (int, int) Hashtbl.t = Hashtbl.create 97 in
-        let check_optimum name i (r : Stp_synth.Spec.result) =
-          match (r.status, r.gates) with
-          | Stp_synth.Spec.Solved, Some g -> (
+        let check_optimum name i r =
+          match Stp_synth.Engine.gates r with
+          | Some g -> (
             match Hashtbl.find_opt optima i with
             | None -> Hashtbl.replace optima i g
             | Some g0 ->
@@ -116,7 +116,7 @@ let run collections timeout scale jobs no_npn_cache json_path csv cross_check
                   "[table1] WARNING: %s instance %d: %s found %d gates, \
                    others %d\n%!"
                   c.name i name g g0)
-          | _ -> ()
+          | None -> ()
         in
         let aggs =
           List.map
@@ -131,9 +131,10 @@ let run collections timeout scale jobs no_npn_cache json_path csv cross_check
                   c.functions
               in
               Printf.eprintf
-                "[table1]   %s: mean %.3fs, %d t/o, %d ok, wall %.2fs \
-                 (speedup %.2fx, cache %d/%d hits)\n%!"
-                name agg.mean_time agg.timeouts agg.solved agg.wall_time
+                "[table1]   %s: mean %.3fs, %d t/o, %d infeasible, %d ok, \
+                 wall %.2fs (speedup %.2fx, cache %d/%d hits)\n%!"
+                name agg.mean_time agg.timeouts agg.infeasible agg.solved
+                agg.wall_time
                 (Runner.speedup agg) agg.cache_hits
                 (agg.cache_hits + agg.cache_misses);
               (match agg.Runner.profile with

@@ -14,14 +14,14 @@ module Cost = Stp_chain.Cost
 let () =
   let maj = Tt.of_hex ~n:3 "e8" in
   Format.printf "target: MAJ3 = %a@.@." Tt.pp maj;
-  let result = Stp_synth.Stp_exact.synthesize maj in
-  match result.Stp_synth.Spec.status with
-  | Stp_synth.Spec.Timeout -> Format.printf "unexpected timeout@."
-  | Stp_synth.Spec.Solved ->
-    let chains = result.Stp_synth.Spec.chains in
+  match Stp_synth.Stp_exact.synthesize ~deadline:Stp_util.Deadline.never maj with
+  | Stp_synth.Spec.Timeout | Stp_synth.Spec.Infeasible ->
+    prerr_endline "unexpected: no answer";
+    exit 1
+  | Stp_synth.Spec.Solved chains ->
     Format.printf "found %d optimum chains of %d gates@.@."
       (List.length chains)
-      (Option.get result.Stp_synth.Spec.gates);
+      (Chain.size (List.hd chains));
     let describe name cost =
       let best = Cost.select_min cost chains in
       Format.printf "%-22s -> cost %2d:  %a@." name (cost best)

@@ -28,16 +28,20 @@ let () =
   show "PDSD6 sample" pd;
 
   Format.printf "@.synthesising both (STP engine):@.";
-  let options = Stp_synth.Spec.with_timeout 30.0 in
   List.iter
     (fun (name, f) ->
-      match Stp_synth.Stp_exact.synthesize ~options f with
-      | { Stp_synth.Spec.status = Stp_synth.Spec.Solved;
-          gates = Some g; chains; elapsed; _ } ->
-        Format.printf "%s: %d gates, %d solutions, %.3fs@." name g
-          (List.length chains) elapsed;
-        Format.printf "  e.g. %a@." Stp_chain.Chain.pp_compact (List.hd chains)
-      | _ -> Format.printf "%s: timeout@." name)
+      let start = Stp_util.Unix_time.now () in
+      let deadline = Stp_util.Deadline.after 30.0 in
+      match Stp_synth.Stp_exact.synthesize ~deadline f with
+      | Stp_synth.Spec.Solved chains ->
+        let c = List.hd chains in
+        Format.printf "%s: %d gates, %d solutions, %.3fs@." name
+          (Stp_chain.Chain.size c) (List.length chains)
+          (Stp_util.Unix_time.now () -. start);
+        Format.printf "  e.g. %a@." Stp_chain.Chain.pp_compact c
+      | Stp_synth.Spec.Timeout | Stp_synth.Spec.Infeasible ->
+        prerr_endline (name ^ ": no answer");
+        exit 1)
     [ ("FDSD6", fd); ("PDSD6", pd) ];
 
   (* A fully-DSD function decomposes greedily along its top splits. *)

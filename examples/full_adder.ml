@@ -12,26 +12,30 @@ let () =
   let sum = Tt.of_hex ~n:3 "96" and carry = Tt.of_hex ~n:3 "e8" in
   Format.printf "sum = %a, carry = %a@.@." Tt.pp sum Tt.pp carry;
 
-  let options = Spec.with_timeout 60.0 in
+  let deadline () = Stp_util.Deadline.after 60.0 in
 
   (* Exact joint synthesis: the classic 5-gate full adder emerges. *)
-  (match Multi.exact ~options [| sum; carry |] with
-   | { Multi.status = Spec.Solved; mchain = Some mc; gates = Some g; _ } ->
-     Format.printf "joint optimum: %d gates@.%a@." g Mchain.pp mc
-   | _ -> Format.printf "timeout@.");
+  (match Multi.exact ~deadline:(deadline ()) [| sum; carry |] with
+   | Spec.Solved mc ->
+     Format.printf "joint optimum: %d gates@.%a@." (Mchain.size mc) Mchain.pp mc
+   | Spec.Timeout | Spec.Infeasible ->
+     prerr_endline "joint synthesis: no answer";
+     exit 1);
 
   (* Separate synthesis wastes a gate. *)
   let g f =
-    match Stp_synth.Stp_exact.synthesize ~options f with
-    | { Spec.status = Spec.Solved; gates = Some g; _ } -> g
+    match Stp_synth.Stp_exact.synthesize ~deadline:(deadline ()) f with
+    | Spec.Solved (c :: _) -> Stp_chain.Chain.size c
     | _ -> -1
   in
   Format.printf "@.separate optima: sum %d + carry %d = %d gates@."
     (g sum) (g carry) (g sum + g carry);
 
   (* The heuristic sharing pass reaches the optimum here too. *)
-  match Multi.stp_shared ~options [| sum; carry |] with
-  | { Multi.status = Spec.Solved; mchain = Some mc; gates = Some gts; _ } ->
-    Format.printf "@.stp_shared: %d gates (%d shared steps)@." gts
+  match Multi.stp_shared ~deadline:(deadline ()) [| sum; carry |] with
+  | Spec.Solved mc ->
+    Format.printf "@.stp_shared: %d gates (%d shared steps)@." (Mchain.size mc)
       (Mchain.share_count mc)
-  | _ -> Format.printf "timeout@."
+  | Spec.Timeout | Spec.Infeasible ->
+    prerr_endline "stp_shared: no answer";
+    exit 1

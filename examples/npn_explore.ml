@@ -17,11 +17,13 @@ let () =
     (List.length sample);
   let histogram = Hashtbl.create 8 in
   let timeouts = ref 0 in
-  let options = Stp_synth.Spec.with_timeout 5.0 in
   List.iter
     (fun f ->
-      match Stp_synth.Stp_exact.synthesize ~options f with
-      | { Stp_synth.Spec.status = Stp_synth.Spec.Solved; gates = Some g; chains; _ } ->
+      match
+        Stp_synth.Stp_exact.synthesize ~deadline:(Stp_util.Deadline.after 5.0) f
+      with
+      | Stp_synth.Spec.Solved chains ->
+        let g = Stp_chain.Chain.size (List.hd chains) in
         let count, sols =
           Option.value ~default:(0, 0) (Hashtbl.find_opt histogram g)
         in

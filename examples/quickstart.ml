@@ -11,13 +11,13 @@ let () =
   Format.printf "target: %a  (binary %s)@.@." Tt.pp f (Tt.to_bin f);
 
   (* One call returns ALL optimum chains, not just one. *)
-  let result = Stp_synth.Stp_exact.synthesize f in
-  (match result.Stp_synth.Spec.status with
-   | Stp_synth.Spec.Timeout -> Format.printf "unexpected timeout@."
-   | Stp_synth.Spec.Solved ->
-     let gates = Option.get result.Stp_synth.Spec.gates in
-     let chains = result.Stp_synth.Spec.chains in
-     Format.printf "optimum size: %d gates; %d optimal chains:@.@." gates
+  (match Stp_synth.Stp_exact.synthesize ~deadline:Stp_util.Deadline.never f with
+   | Stp_synth.Spec.Timeout | Stp_synth.Spec.Infeasible ->
+     prerr_endline "unexpected: no answer";
+     exit 1
+   | Stp_synth.Spec.Solved chains ->
+     Format.printf "optimum size: %d gates; %d optimal chains:@.@."
+       (Stp_chain.Chain.size (List.hd chains))
        (List.length chains);
      List.iteri
        (fun i c ->

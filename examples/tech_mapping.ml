@@ -10,47 +10,39 @@ module Spec = Stp_synth.Spec
 
 let and_class = [ 1; 2; 4; 7; 8; 11; 13; 14 ]
 
-let show name (r : Spec.result) =
-  match r.Spec.status with
-  | Spec.Solved ->
-    let c = List.hd r.Spec.chains in
-    Format.printf "%-28s %d gates, depth %d:  %a@." name
-      (Option.get r.Spec.gates) (Chain.depth c) Chain.pp_compact c
-  | Spec.Timeout -> Format.printf "%-28s (no realisation)@." name
+let synthesize options f =
+  Stp_synth.Stp_exact.synthesize ~options
+    ~deadline:(Stp_util.Deadline.after 30.0) f
+
+let show name = function
+  | Spec.Solved (c :: _) ->
+    Format.printf "%-28s %d gates, depth %d:  %a@." name (Chain.size c)
+      (Chain.depth c) Chain.pp_compact c
+  | Spec.Solved [] | Spec.Infeasible ->
+    Format.printf "%-28s (no realisation)@." name
+  | Spec.Timeout -> Format.printf "%-28s (timeout)@." name
 
 let () =
   (* A full-adder sum bit: XOR-heavy, interesting across libraries. *)
   let f = Tt.of_hex ~n:3 "96" in
   Format.printf "target: 3-input parity %a@.@." Tt.pp f;
 
-  let base = Spec.with_timeout 30.0 in
-  show "free library" (Stp_synth.Stp_exact.synthesize ~options:base f);
+  let base = Spec.default_options in
+  show "free library" (synthesize base f);
   show "AND class only (AIG)"
-    (Stp_synth.Stp_exact.synthesize
-       ~options:{ base with Spec.basis = Some and_class }
-       f);
-  show "XOR/XNOR only"
-    (Stp_synth.Stp_exact.synthesize
-       ~options:{ base with Spec.basis = Some [ 6; 9 ] }
-       f);
+    (synthesize { base with Spec.basis = Some and_class } f);
+  show "XOR/XNOR only" (synthesize { base with Spec.basis = Some [ 6; 9 ] } f);
 
   (* Depth-bounded: a 6-input AND tree, balanced vs unconstrained. *)
   Format.printf "@.target: AND6@.@.";
   let and6 = Tt.of_fun 6 (fun m -> m = 63) in
-  show "AND6, depth unbounded"
-    (Stp_synth.Stp_exact.synthesize ~options:base and6);
-  show "AND6, depth <= 3"
-    (Stp_synth.Stp_exact.synthesize
-       ~options:{ base with Spec.max_depth = Some 3 }
-       and6);
+  show "AND6, depth unbounded" (synthesize base and6);
+  let balanced = synthesize { base with Spec.max_depth = Some 3 } and6 in
+  show "AND6, depth <= 3" balanced;
 
   (* Export the balanced AND6 to Verilog/BLIF. *)
-  (match
-     Stp_synth.Stp_exact.synthesize
-       ~options:{ base with Spec.max_depth = Some 3 }
-       and6
-   with
-   | { Spec.status = Spec.Solved; chains = c :: _; _ } ->
+  (match balanced with
+   | Spec.Solved (c :: _) ->
      Format.printf "@.--- Verilog ---@.%s" (Stp_chain.Export.to_verilog c);
      Format.printf "@.--- BLIF ---@.%s" (Stp_chain.Export.to_blif c)
    | _ -> ())

@@ -25,6 +25,7 @@ let aggregate_json (a : Runner.aggregate) =
     ([ ("engine", String a.Runner.name);
       ("solved", Int a.Runner.solved);
       ("timeouts", Int a.Runner.timeouts);
+      ("infeasible", Int a.Runner.infeasible);
       ("mean_time_s", Float a.Runner.mean_time);
       ("total_time_s", Float a.Runner.total_time);
       ("wall_time_s", Float a.Runner.wall_time);

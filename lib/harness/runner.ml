@@ -1,4 +1,3 @@
-module Spec = Stp_synth.Spec
 module Engine = Stp_synth.Engine
 module Npn_cache = Stp_synth.Npn_cache
 
@@ -17,6 +16,7 @@ type aggregate = {
   name : string;
   solved : int;
   timeouts : int;
+  infeasible : int;
   mean_time : float;
   total_time : float;
   wall_time : float;
@@ -45,7 +45,6 @@ let run_collection ?(timeout = 5.0) ?(jobs = 1) ?cache ?on_instance engine
      unforced [lazy] is an error in OCaml 5, and the first instance's
      timing should not pay for table construction either. *)
   ignore (Stp_tt.Npn.canon4 0);
-  let options = Spec.with_timeout timeout in
   (* [observed] is outermost, so its spans and latency histograms cover
      cache replays as well as solver calls — the per-instance cost a
      caller actually experiences. *)
@@ -63,13 +62,12 @@ let run_collection ?(timeout = 5.0) ?(jobs = 1) ?cache ?on_instance engine
   let memo_key = Domain.DLS.new_key (fun () -> Stp_synth.Factor.create_memo ()) in
   let solve f =
     let t0 = Stp_util.Unix_time.now () in
-    let deadline = Spec.deadline_of options in
     let r =
       E.synthesize
-        (Engine.spec ~options ~memo:(Domain.DLS.get memo_key) f)
-        ~deadline
+        (Engine.spec ~memo:(Domain.DLS.get memo_key) f)
+        ~deadline:(Stp_util.Deadline.after timeout)
     in
-    Engine.to_spec_result ~elapsed:(Stp_util.Unix_time.now () -. t0) r
+    (r, Stp_util.Unix_time.now () -. t0)
   in
   (* The profiler's accumulators are global: reset per run so each
      aggregate carries exactly its own run's counters. *)
@@ -83,24 +81,25 @@ let run_collection ?(timeout = 5.0) ?(jobs = 1) ?cache ?on_instance engine
   (* Aggregation is one sequential pass over (instance, result) in input
      order — byte-identical between the sequential and parallel paths,
      and [on_instance] observes instances in input order either way. *)
-  let solved = ref 0 and timeouts = ref 0 in
+  let solved = ref 0 and timeouts = ref 0 and infeasible = ref 0 in
   let solved_time = ref 0.0 and total_time = ref 0.0 in
   let solutions = ref 0 in
   let optima = Hashtbl.create 16 in
   let latency = Stp_telemetry.Hist.make E.name in
   List.iteri
-    (fun i (f, result) ->
+    (fun i (f, (result, elapsed)) ->
       (match on_instance with Some obs -> obs i f result | None -> ());
-      Stp_telemetry.Hist.observe_s latency result.Spec.elapsed;
-      total_time := !total_time +. result.Spec.elapsed;
-      match result.Spec.status with
-      | Spec.Solved ->
+      Stp_telemetry.Hist.observe_s latency elapsed;
+      total_time := !total_time +. elapsed;
+      match result with
+      | Engine.Solved chains ->
         incr solved;
-        solved_time := !solved_time +. result.Spec.elapsed;
-        solutions := !solutions + List.length result.Spec.chains;
-        let g = Option.value ~default:(-1) result.Spec.gates in
+        solved_time := !solved_time +. elapsed;
+        solutions := !solutions + List.length chains;
+        let g = Option.value ~default:(-1) (Engine.gates result) in
         Hashtbl.replace optima g (1 + Option.value ~default:0 (Hashtbl.find_opt optima g))
-      | Spec.Timeout -> incr timeouts)
+      | Engine.Timeout -> incr timeouts
+      | Engine.Infeasible -> incr infeasible)
     (List.combine functions results);
   let mean_time = if !solved = 0 then 0.0 else !solved_time /. float_of_int !solved in
   let mean_solutions =
@@ -120,6 +119,7 @@ let run_collection ?(timeout = 5.0) ?(jobs = 1) ?cache ?on_instance engine
   { name = E.name;
     solved = !solved;
     timeouts = !timeouts;
+    infeasible = !infeasible;
     mean_time;
     total_time = !total_time;
     wall_time;

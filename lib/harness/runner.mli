@@ -30,7 +30,10 @@ val engine_name : engine -> string
 type aggregate = {
   name : string;            (** engine name *)
   solved : int;             (** #ok *)
-  timeouts : int;           (** #t/o *)
+  timeouts : int;           (** #t/o: the deadline expired *)
+  infeasible : int;
+    (** instances refuted within [options]: no chain of at most
+        [max_gates] gates, or a constant target *)
   mean_time : float;        (** mean seconds over solved instances *)
   total_time : float;       (** summed per-instance wall-clock *)
   wall_time : float;        (** wall-clock of the whole sweep; below
@@ -48,7 +51,7 @@ type aggregate = {
         parallel run. *)
   latency : Stp_telemetry.Hist.snapshot;
     (** per-instance latency histogram over {e every} instance of the
-        run (solved and timed out), with exact p50/p90/p99 — always
+        run (solved, timed out and infeasible), with exact p50/p90/p99 — always
         collected (one lock-free observation per instance). *)
 }
 
@@ -64,14 +67,16 @@ val run_collection :
   ?timeout:float ->
   ?jobs:int ->
   ?cache:Stp_synth.Npn_cache.t ->
-  ?on_instance:(int -> Stp_tt.Tt.t -> Stp_synth.Spec.result -> unit) ->
+  ?on_instance:(int -> Stp_tt.Tt.t -> Stp_synth.Engine.result -> unit) ->
   engine ->
   Stp_tt.Tt.t list ->
   aggregate
-(** [run_collection engine fns] runs every function under the timeout
-    (default 5 s) and aggregates. [on_instance] observes each result
-    (index, function, result) in input order — used for cross-checking
-    optima between engines and for verbose traces.
+(** [run_collection engine fns] runs every function under
+    {!Stp_synth.Spec.default_options} with a fresh deadline of
+    [timeout] seconds (default 5) per instance, and aggregates.
+    [on_instance] observes each result (index, function, result) in
+    input order — used for cross-checking optima between engines and
+    for verbose traces.
 
     [jobs] (default 1, clamped to at least 1) fans instances out across
     that many domains via {!Stp_parallel.Pool}; each domain owns a

@@ -30,35 +30,25 @@ let finish ~f ~n ~support ~negated chain =
    returned stepper answers each budget [~r]. The cold engines are
    ordinary four-argument functions — partial application makes them
    stateless steppers that rebuild a solver per call. *)
-let run_outcome ~options ~deadline ~engine f =
-  match Common.prepare f with
-  | `Trivial chain -> `Solved ([ chain ], 0)
-  | `Reduced (target, support) -> (
-    let n = Tt.num_vars f in
-    let target, negated = normalise target in
-    let s = Tt.num_vars target in
-    let step = engine ~options ~deadline ~target in
-    let rec loop r =
-      if r > options.Spec.max_gates then `Infeasible
-      else
-        match step ~r with
-        | `Sat chain -> `Solved ([ finish ~f ~n ~support ~negated chain ], r)
-        | `Unsat -> loop (r + 1)
-        | `Unknown -> `Timeout
-    in
-    loop (max 1 (s - 1)))
-
-let run_engine ~options ~engine f =
-  let start = Stp_util.Unix_time.now () in
-  let deadline = Spec.deadline_of options in
-  match run_outcome ~options ~deadline ~engine f with
-  | `Solved (chains, gates) ->
-    Spec.solved ~chains ~gates ~elapsed:(Stp_util.Unix_time.now () -. start)
-  | `Timeout | `Infeasible ->
-    (* The public [Spec] surface keeps its historical two-state shape:
-       a refuted gate budget reads as a timeout, as it always has.
-       {!Engine} exposes the distinction. *)
-    Spec.timed_out ~elapsed:(Stp_util.Unix_time.now () -. start)
+let run ~options ~deadline ~engine f =
+  if Tt.is_const f then Spec.Infeasible
+  else
+    match Common.prepare f with
+    | `Trivial chain -> Spec.Solved [ chain ]
+    | `Reduced (target, support) ->
+      let n = Tt.num_vars f in
+      let target, negated = normalise target in
+      let s = Tt.num_vars target in
+      let step = engine ~options ~deadline ~target in
+      let rec loop r =
+        if r > options.Spec.max_gates then Spec.Infeasible
+        else
+          match step ~r with
+          | `Sat chain -> Spec.Solved [ finish ~f ~n ~support ~negated chain ]
+          | `Unsat -> loop (r + 1)
+          | `Unknown -> Spec.Timeout
+      in
+      loop (max 1 (s - 1))
 
 (* BMS, cold: the plain encoding with all minterms, fresh solver per
    budget. *)
@@ -281,8 +271,15 @@ let abc_stepper ~incremental ~options =
   | Some _, true -> fen_inc
   | Some _, false -> fen_engine
 
-let bms ?(incremental = true) ?(options = Spec.default_options) f =
-  run_engine ~options ~engine:(bms_stepper ~incremental ~options) f
+type engine =
+  ?incremental:bool ->
+  ?options:Spec.options ->
+  deadline:Stp_util.Deadline.t ->
+  Tt.t ->
+  Chain.t list Spec.outcome
+
+let bms ?(incremental = true) ?(options = Spec.default_options) ~deadline f =
+  run ~options ~deadline ~engine:(bms_stepper ~incremental ~options) f
 
 (* The shared-solver engines are the default where the A/B sweep in
    [bench --sat] shows them winning: the flat BMS/ABC encodings reuse
@@ -293,27 +290,11 @@ let bms ?(incremental = true) ?(options = Spec.default_options) f =
    solver's ~25% conflict savings are outweighed by ~35% slower
    propagation. FEN therefore defaults to the cold engine; pass
    [~incremental:true] to study the shared-solver variant. *)
-let fen ?(incremental = false) ?(options = Spec.default_options) f =
-  run_engine ~options ~engine:(fen_stepper ~incremental) f
+let fen ?(incremental = false) ?(options = Spec.default_options) ~deadline f =
+  run ~options ~deadline ~engine:(fen_stepper ~incremental) f
 
-let abc ?(incremental = true) ?(options = Spec.default_options) f =
-  run_engine ~options ~engine:(abc_stepper ~incremental ~options) f
-
-type outcome = [ `Solved of Chain.t list * int | `Timeout | `Infeasible ]
-
-let bms_outcome ?(incremental = true) ~options ~deadline f =
-  run_outcome ~options ~deadline ~engine:(bms_stepper ~incremental ~options) f
-
-let fen_outcome ?(incremental = false) ~options ~deadline f =
-  run_outcome ~options ~deadline ~engine:(fen_stepper ~incremental) f
-
-let abc_outcome ?(incremental = true) ~options ~deadline f =
-  run_outcome ~options ~deadline ~engine:(abc_stepper ~incremental ~options) f
-
-let all =
-  [ ("BMS", fun ?options f -> bms ?options f);
-    ("FEN", fun ?options f -> fen ?options f);
-    ("ABC", fun ?options f -> abc ?options f) ]
+let abc ?(incremental = true) ?(options = Spec.default_options) ~deadline f =
+  run ~options ~deadline ~engine:(abc_stepper ~incremental ~options) f
 
 module Gate = Stp_chain.Gate
 

@@ -30,36 +30,22 @@
     solver and encoding per budget, and per fence for FEN) — the A/B
     baseline used by [bench --sat]. *)
 
-val bms : ?incremental:bool -> ?options:Spec.options -> Stp_tt.Tt.t -> Spec.result
-
-val fen : ?incremental:bool -> ?options:Spec.options -> Stp_tt.Tt.t -> Spec.result
-
-val abc : ?incremental:bool -> ?options:Spec.options -> Stp_tt.Tt.t -> Spec.result
-
-val all : (string * (?options:Spec.options -> Stp_tt.Tt.t -> Spec.result)) list
-(** [("BMS", bms); ("FEN", fen); ("ABC", abc)]. *)
-
-(** {1 Explicit-deadline outcomes}
-
-    The same engines under a caller-supplied deadline
-    ([options.timeout] is ignored), reporting the three-way outcome the
-    unified {!Engine} API exposes: [`Infeasible] when every gate count
-    up to [options.max_gates] is refuted, [`Timeout] when the deadline
-    expired first. *)
-
-type outcome = [ `Solved of Stp_chain.Chain.t list * int | `Timeout | `Infeasible ]
-
-val bms_outcome :
+type engine =
   ?incremental:bool ->
-  options:Spec.options -> deadline:Stp_util.Deadline.t -> Stp_tt.Tt.t -> outcome
+  ?options:Spec.options ->
+  deadline:Stp_util.Deadline.t ->
+  Stp_tt.Tt.t ->
+  Stp_chain.Chain.t list Spec.outcome
+(** A baseline under an explicit deadline. [Solved] carries exactly one
+    optimum chain; [Infeasible] means a constant target or every gate
+    count up to [options.max_gates] refuted; [Timeout] means the
+    deadline expired first. *)
 
-val fen_outcome :
-  ?incremental:bool ->
-  options:Spec.options -> deadline:Stp_util.Deadline.t -> Stp_tt.Tt.t -> outcome
+val bms : engine
 
-val abc_outcome :
-  ?incremental:bool ->
-  options:Spec.options -> deadline:Stp_util.Deadline.t -> Stp_tt.Tt.t -> outcome
+val fen : engine
+
+val abc : engine
 
 val upper_bound : Stp_tt.Tt.t -> Stp_chain.Chain.t
 (** A verified but non-optimal chain for any non-constant target, built

@@ -10,10 +10,9 @@ type spec = {
 let spec ?(options = Spec.default_options) ?memo target =
   { target; options; memo }
 
-type result =
-  | Solved of Chain.t list
-  | Timeout
-  | Infeasible
+type 'a outcome = 'a Spec.outcome = Solved of 'a | Timeout | Infeasible
+
+type result = Chain.t list outcome
 
 module type S = sig
   val name : string
@@ -21,33 +20,25 @@ module type S = sig
   val synthesize : spec -> deadline:Stp_util.Deadline.t -> result
 end
 
-let of_outcome = function
-  | `Solved (chains, _gates) -> Solved chains
-  | `Timeout -> Timeout
-  | `Infeasible -> Infeasible
-
 module Stp_engine : S = struct
   let name = "STP"
 
   let synthesize { target; options; memo } ~deadline =
-    of_outcome (Stp_exact.synthesize_outcome ~options ?memo ~deadline target)
+    Stp_exact.synthesize ~options ?memo ~deadline target
 end
 
-(* The CNF baselines raise on constant targets ([Common.prepare]); the
-   Engine contract reports them as [Infeasible] instead. *)
-let baseline name outcome : (module S) =
+let baseline name (engine : Baselines.engine) : (module S) =
   (module struct
     let name = name
 
     let synthesize { target; options; memo = _ } ~deadline =
-      if Tt.is_const target then Infeasible
-      else of_outcome (outcome ~options ~deadline target)
+      engine ~options ~deadline target
   end)
 
 let stp = (module Stp_engine : S)
-let bms = baseline "BMS" (fun ~options ~deadline f -> Baselines.bms_outcome ~options ~deadline f)
-let fen = baseline "FEN" (fun ~options ~deadline f -> Baselines.fen_outcome ~options ~deadline f)
-let lutexact = baseline "ABC" (fun ~options ~deadline f -> Baselines.abc_outcome ~options ~deadline f)
+let bms = baseline "BMS" Baselines.bms
+let fen = baseline "FEN" Baselines.fen
+let lutexact = baseline "ABC" Baselines.abc
 
 let all = [ bms; fen; lutexact; stp ]
 
@@ -99,9 +90,3 @@ let observed (module E : S) : (module S) =
         r
       end
   end)
-
-let to_spec_result ~elapsed = function
-  | Solved chains ->
-    let gates = match chains with c :: _ -> Chain.size c | [] -> 0 in
-    Spec.solved ~chains ~gates ~elapsed
-  | Timeout | Infeasible -> Spec.timed_out ~elapsed

@@ -9,14 +9,13 @@
     through this signature, so adding an engine is implementing [S]
     once.
 
-    Deadlines are explicit rather than read from
-    [options.timeout]: a service handing out per-request budgets (the
-    synthesis daemon) and a collection runner sharing one wall-clock
-    policy both construct the deadline themselves. *)
+    Deadlines are explicit: a service handing out per-request budgets
+    (the synthesis daemon) and a collection runner sharing one
+    wall-clock policy both construct the deadline themselves. *)
 
 type spec = {
   target : Stp_tt.Tt.t;
-  options : Spec.options;  (** [options.timeout] is ignored; pass a deadline *)
+  options : Spec.options;
   memo : Factor.memo option;
       (** reusable factorisation memo; engines that cannot use one
           ignore it *)
@@ -25,19 +24,20 @@ type spec = {
 val spec : ?options:Spec.options -> ?memo:Factor.memo -> Stp_tt.Tt.t -> spec
 (** [spec f] with {!Spec.default_options} and no memo. *)
 
-type result =
-  | Solved of Stp_chain.Chain.t list
-      (** all optimum chains found (non-empty; every chain has the same
-          optimum size, readable as {!gates}) *)
+type 'a outcome = 'a Spec.outcome =
+  | Solved of 'a
   | Timeout
-      (** the deadline expired before an answer — or, behind
-          {!Npn_cache.wrap}, the cache knows the target's class already
-          timed out under at least this deadline's budget and did not
-          call the engine *)
   | Infeasible
-      (** no chain exists within the spec's constraints: a constant
-          target, or every gate count up to [options.max_gates]
-          refuted *)
+(** {!Spec.outcome}, re-exported with its constructors. *)
+
+type result = Stp_chain.Chain.t list outcome
+(** [Solved chains]: all optimum chains found (non-empty; every chain
+    has the same optimum size, readable as {!gates}). [Timeout]: the
+    deadline expired before an answer — or, behind {!Npn_cache.wrap},
+    the cache knows the target's class already timed out under at least
+    this deadline's budget and did not call the engine. [Infeasible]: no
+    chain exists within the spec's constraints (a constant target, or
+    every gate count up to [options.max_gates] refuted). *)
 
 module type S = sig
   val name : string
@@ -69,7 +69,7 @@ val gates : result -> int option
 (** The optimum gate count of a [Solved] result (the size of its
     chains); [None] otherwise. *)
 
-val outcome_label : result -> string
+val outcome_label : 'a outcome -> string
 (** ["solved"], ["timeout"] or ["infeasible"] — the histogram and
     response-status vocabulary shared by the harness and the daemon. *)
 
@@ -81,8 +81,3 @@ val observed : (module S) -> (module S)
     recorded into the registered histograms [engine/<name>] and
     [engine/<name>/<outcome>]. Free when tracing and metrics are both
     off (two [ref] reads per call). *)
-
-val to_spec_result : elapsed:float -> result -> Spec.result
-(** Bridge to the record shape of the pre-[Engine] API: [Solved]
-    becomes {!Spec.solved}; [Timeout] {e and} [Infeasible] become
-    {!Spec.timed_out}, matching the engines' historical reporting. *)

@@ -3,13 +3,6 @@ module Chain = Stp_chain.Chain
 module Mchain = Stp_chain.Mchain
 module Solver = Stp_sat.Solver
 
-type result = {
-  status : Spec.status;
-  mchain : Stp_chain.Mchain.t option;
-  gates : int option;
-  elapsed : float;
-}
-
 let check_outputs fs =
   if Array.length fs = 0 then invalid_arg "Multi: no outputs";
   let n = Tt.num_vars fs.(0) in
@@ -21,20 +14,14 @@ let check_outputs fs =
     fs;
   n
 
-let exact ?(incremental = true) ?(options = Spec.default_options) fs =
-  let n = check_outputs fs in
-  ignore n;
-  let start = Stp_util.Unix_time.now () in
-  let deadline = Spec.deadline_of options in
-  let elapsed () = Stp_util.Unix_time.now () -. start in
-  let timeout () =
-    { status = Spec.Timeout; mchain = None; gates = None; elapsed = elapsed () }
-  in
-  let solved mc r =
+let exact ?(incremental = true) ?(options = Spec.default_options) ~deadline fs =
+  ignore (check_outputs fs);
+  if options.Spec.max_depth <> None then
+    invalid_arg "Multi.exact: depth bounds are not supported";
+  let solved mc =
     let sims = Mchain.simulate mc in
     Array.iteri (fun k f -> assert (Tt.equal sims.(k) f)) fs;
-    { status = Spec.Solved; mchain = Some mc; gates = Some r;
-      elapsed = elapsed () }
+    Spec.Solved mc
   in
   let lower =
     Array.fold_left (fun acc f -> max acc (Tt.support_size f - 1)) 1 fs
@@ -75,27 +62,31 @@ let exact ?(incremental = true) ?(options = Spec.default_options) fs =
           | Solver.Sat -> `Sat (Stp_encodings.Ssv_multi.decode enc))
   in
   let rec loop r =
-    if r > options.Spec.max_gates then timeout ()
+    if r > options.Spec.max_gates then Spec.Infeasible
     else
       match step r with
       | `Unsat -> loop (r + 1)
-      | `Unknown -> timeout ()
-      | `Sat mc -> solved mc r
+      | `Unknown -> Spec.Timeout
+      | `Sat mc -> solved mc
   in
   loop lower
 
 (* Greedy structural merging of per-output optimum chains. *)
-let stp_shared ?(options = Spec.default_options) fs =
+let stp_shared ?(options = Spec.default_options) ~deadline fs =
   let n = check_outputs fs in
-  let start = Stp_util.Unix_time.now () in
-  let elapsed () = Stp_util.Unix_time.now () -. start in
-  let per_output =
-    Array.map (fun f -> Stp_exact.synthesize ~options f) fs
+  (* Every output must be solved; the first that is not decides. *)
+  let rec solve_all acc k =
+    if k = Array.length fs then Spec.Solved (List.rev acc)
+    else
+      match Stp_exact.synthesize ~options ~deadline fs.(k) with
+      | Spec.Solved chains -> solve_all (chains :: acc) (k + 1)
+      | Spec.Timeout -> Spec.Timeout
+      | Spec.Infeasible -> Spec.Infeasible
   in
-  if Array.exists (fun (r : Spec.result) -> r.Spec.status <> Spec.Solved)
-       per_output
-  then { status = Spec.Timeout; mchain = None; gates = None; elapsed = elapsed () }
-  else begin
+  match solve_all [] 0 with
+  | Spec.Timeout -> Spec.Timeout
+  | Spec.Infeasible -> Spec.Infeasible
+  | Spec.Solved per_output ->
     (* Pool of merged steps: (f1, f2, gate) -> pool signal. *)
     let table : (int * int * int, int) Hashtbl.t = Hashtbl.create 97 in
     let pool : Chain.step list ref = ref [] in
@@ -140,29 +131,26 @@ let stp_shared ?(options = Spec.default_options) fs =
       (out, !added)
     in
     let outputs =
-      Array.to_list
-        (Array.map
-           (fun (r : Spec.result) ->
-             (* Pick the candidate that adds the fewest fresh gates. *)
-             let best =
-               List.fold_left
-                 (fun acc c ->
-                   let _, added = merge c ~commit:false in
-                   match acc with
-                   | Some (_, best_added) when best_added <= added -> acc
-                   | _ -> Some (c, added))
-                 None r.Spec.chains
-             in
-             match best with
-             | None -> assert false
-             | Some (c, _) ->
-               let out, _ = merge c ~commit:true in
-               out)
-           per_output)
+      List.map
+        (fun chains ->
+          (* Pick the candidate that adds the fewest fresh gates. *)
+          let best =
+            List.fold_left
+              (fun acc c ->
+                let _, added = merge c ~commit:false in
+                match acc with
+                | Some (_, best_added) when best_added <= added -> acc
+                | _ -> Some (c, added))
+              None chains
+          in
+          match best with
+          | None -> assert false
+          | Some (c, _) ->
+            let out, _ = merge c ~commit:true in
+            out)
+        per_output
     in
     let mc = Mchain.make ~n ~steps:(List.rev !pool) ~outputs in
     let sims = Mchain.simulate mc in
     Array.iteri (fun k f -> assert (Tt.equal sims.(k) f)) fs;
-    { status = Spec.Solved; mchain = Some mc; gates = Some !pool_size;
-      elapsed = elapsed () }
-  end
+    Spec.Solved mc

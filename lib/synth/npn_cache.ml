@@ -222,10 +222,3 @@ let wrap t (module E : Engine.S) : (module Engine.S) =
 
     let synthesize spec ~deadline = wrap_solver t E.synthesize spec ~deadline
   end)
-
-let synthesize ?(options = Spec.default_options) ?memo t f =
-  let start = Stp_util.Unix_time.now () in
-  let deadline = Spec.deadline_of options in
-  let (module E : Engine.S) = wrap t Engine.stp in
-  let r = E.synthesize (Engine.spec ~options ?memo f) ~deadline in
-  Engine.to_spec_result ~elapsed:(Stp_util.Unix_time.now () -. start) r

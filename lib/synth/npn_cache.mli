@@ -60,11 +60,6 @@ val wrap : t -> (module Engine.S) -> (module Engine.S)
 val wrap_solver : t -> solver -> solver
 (** [wrap] at the function level, for callers not holding a module. *)
 
-val synthesize :
-  ?options:Spec.options -> ?memo:Factor.memo -> t -> Stp_tt.Tt.t -> Spec.result
-(** [wrap] applied to {!Engine.stp}, with the deadline taken from
-    [options.timeout] — the pre-[Engine] convenience entry point. *)
-
 type stats = {
   hits : int;      (** lookups answered by replaying a cached class *)
   misses : int;    (** lookups that had to run a full synthesis *)

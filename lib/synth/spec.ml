@@ -1,14 +1,6 @@
-type status = Solved | Timeout
-
-type result = {
-  status : status;
-  chains : Stp_chain.Chain.t list;
-  gates : int option;
-  elapsed : float;
-}
+type 'a outcome = Solved of 'a | Timeout | Infeasible
 
 type options = {
-  timeout : float option;
   max_gates : int;
   solution_cap : int;
   all_shapes : bool;
@@ -18,16 +10,5 @@ type options = {
 }
 
 let default_options =
-  { timeout = None; max_gates = 14; solution_cap = 2000; all_shapes = false;
-    use_dsd = true; basis = None; max_depth = None }
-
-let with_timeout s = { default_options with timeout = Some s }
-
-let deadline_of options =
-  match options.timeout with
-  | None -> Stp_util.Deadline.never
-  | Some s -> Stp_util.Deadline.after s
-
-let solved ~chains ~gates ~elapsed = { status = Solved; chains; gates = Some gates; elapsed }
-
-let timed_out ~elapsed = { status = Timeout; chains = []; gates = None; elapsed }
+  { max_gates = 14; solution_cap = 2000; all_shapes = false; use_dsd = true;
+    basis = None; max_depth = None }

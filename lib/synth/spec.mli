@@ -1,20 +1,17 @@
 (** Common types for the exact-synthesis engines. *)
 
-type status =
-  | Solved
-  | Timeout  (** the per-instance deadline expired before an answer *)
-
-type result = {
-  status : status;
-  chains : Stp_chain.Chain.t list;
-    (** all optimum chains for the STP engine, at most one for the
-        CNF-based baselines; empty on timeout *)
-  gates : int option; (** optimum gate count when solved *)
-  elapsed : float;    (** wall-clock seconds *)
-}
+type 'a outcome =
+  | Solved of 'a
+      (** the answer: for the single-output engines all optimum chains
+          found (non-empty, every chain of the same optimum size) *)
+  | Timeout  (** the deadline expired before an answer *)
+  | Infeasible
+      (** no answer exists within the options: a constant target, or
+          every gate count up to [max_gates] refuted *)
+(** The one result type of every engine. [Timeout] and [Infeasible] are
+    kept apart: a refutation is a proof, an expired deadline is not. *)
 
 type options = {
-  timeout : float option; (** per-instance wall-clock budget, seconds *)
   max_gates : int;        (** give up beyond this size (safety net) *)
   solution_cap : int;     (** cap on the number of chains collected *)
   all_shapes : bool;
@@ -44,15 +41,9 @@ type options = {
         chains respecting the bound). Disables DSD peeling in the STP
         engine, whose compositions do not control depth. *)
 }
+(** What to search for. The time budget is not an option: every engine
+    takes an explicit {!Stp_util.Deadline.t}. *)
 
 val default_options : options
-(** No timeout, [max_gates = 14], [solution_cap = 2000],
-    [all_shapes = false]. *)
-
-val with_timeout : float -> options
-
-val deadline_of : options -> Stp_util.Deadline.t
-
-val solved : chains:Stp_chain.Chain.t list -> gates:int -> elapsed:float -> result
-
-val timed_out : elapsed:float -> result
+(** [max_gates = 14], [solution_cap = 2000], [all_shapes = false],
+    [use_dsd = true], no basis restriction, no depth bound. *)

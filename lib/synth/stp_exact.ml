@@ -5,20 +5,21 @@ module Dag = Stp_topology.Dag
 
 exception Found_enough
 
-(* Cross product of sub-chains joined by a top gate. [g_chains] and
-   [h_chains] range over the same n-variable space with disjoint
-   supports; output complements of gate-free sub-chains fold into the
-   top gate code. *)
 let basis_mask = function
   | None -> List.fold_left (fun m g -> m lor (1 lsl g)) 0 Gate.nontrivial
   | Some gates -> List.fold_left (fun m g -> m lor (1 lsl g)) 0 gates
 
-let compose_chains ~allowed ~cap phi g_chains h_chains acc =
+(* Cross product of sub-chains joined by a top gate. [g_chains] and
+   [h_chains] range over the same n-variable space with disjoint
+   supports; output complements of gate-free sub-chains fold into the
+   top gate code. [count] holds the length of [!acc], which stops
+   growing at [cap]. *)
+let compose_chains ~allowed ~cap phi g_chains h_chains acc count =
   List.iter
     (fun (cg : Chain.t) ->
       List.iter
         (fun (ch : Chain.t) ->
-          if List.length !acc < cap then begin
+          if !count < cap then begin
             let n = cg.Chain.n in
             let sg = Array.to_list cg.Chain.steps in
             let shift = Array.length cg.Chain.steps in
@@ -45,7 +46,8 @@ let compose_chains ~allowed ~cap phi g_chains h_chains acc =
                   ~output:(n + List.length steps - 1)
                   ()
               in
-              acc := chain :: !acc
+              acc := chain :: !acc;
+              incr count
             end
           end)
         h_chains)
@@ -120,7 +122,7 @@ and synth_uncached ~options ~deadline ~memo ~stats ~cache target =
          Factor.decompose ~memo ~cap:64 ~target ~amask ~bmask ()
        in
        let best = ref None in
-       let chains = ref [] in
+       let chains = ref [] and count = ref 0 in
        List.iter
          (fun { Factor.phi; g; h } ->
            match synth ~options ~deadline ~memo ~stats ~cache g with
@@ -135,12 +137,13 @@ and synth_uncached ~options ~deadline ~memo ~stats ~cache target =
                 | Some b when b < total -> ()
                 | Some b when b = total ->
                   compose_chains ~allowed ~cap:options.Spec.solution_cap phi
-                    chains_g chains_h chains
+                    chains_g chains_h chains count
                 | _ ->
                   best := Some total;
                   chains := [];
+                  count := 0;
                   compose_chains ~allowed ~cap:options.Spec.solution_cap phi
-                    chains_g chains_h chains)))
+                    chains_g chains_h chains count)))
          triples;
         (match !best with
          | Some gates when !chains <> [] ->
@@ -175,65 +178,18 @@ let synthesize_reduced ~options ~deadline ~memo target =
   let cache = Hashtbl.create 97 in
   synth ~options ~deadline ~memo ~stats ~cache target
 
-let synthesize_outcome ?(options = Spec.default_options) ?memo ~deadline f =
-  if Tt.is_const f then `Infeasible
+let synthesize ?(options = Spec.default_options) ?memo ~deadline f =
+  if Tt.is_const f then Spec.Infeasible
   else
     match Common.prepare f with
-    | `Trivial chain -> `Solved ([ chain ], 0)
+    | `Trivial chain -> Spec.Solved [ chain ]
     | `Reduced (target, support) -> (
       let n = Tt.num_vars f in
       match synthesize_reduced ~options ~deadline ~memo target with
-      | Some (gates, chains) ->
-        `Solved (List.map (Common.expand_chain ~n ~support) chains, gates)
+      | Some (_, chains) ->
+        Spec.Solved (List.map (Common.expand_chain ~n ~support) chains)
       | None ->
         (* [try_size] only returns [None] when the gate budget is
            exhausted with every size refuted — deadline expiry raises. *)
-        `Infeasible
-      | exception Stp_util.Deadline.Timeout -> `Timeout)
-
-let synthesize ?(options = Spec.default_options) ?memo f =
-  let start = Stp_util.Unix_time.now () in
-  let deadline = Spec.deadline_of options in
-  let elapsed () = Stp_util.Unix_time.now () -. start in
-  match Common.prepare f with
-  | `Trivial chain ->
-    Spec.solved ~chains:[ chain ] ~gates:0 ~elapsed:(elapsed ())
-  | `Reduced (target, support) -> (
-    let n = Tt.num_vars f in
-    match synthesize_reduced ~options ~deadline ~memo target with
-    | Some (gates, chains) ->
-      let chains = List.map (Common.expand_chain ~n ~support) chains in
-      Spec.solved ~chains ~gates ~elapsed:(elapsed ())
-    | None -> Spec.timed_out ~elapsed:(elapsed ())
-    | exception Stp_util.Deadline.Timeout -> Spec.timed_out ~elapsed:(elapsed ()))
-
-let synthesize_npn ?(options = Spec.default_options) ?memo f =
-  let start = Stp_util.Unix_time.now () in
-  let deadline = Spec.deadline_of options in
-  let elapsed () = Stp_util.Unix_time.now () -. start in
-  match Common.prepare f with
-  | `Trivial chain ->
-    Spec.solved ~chains:[ chain ] ~gates:0 ~elapsed:(elapsed ())
-  | `Reduced (target, _) when Tt.num_vars target > Stp_tt.Npn.max_arity ->
-    synthesize ~options ?memo f
-  | `Reduced (target, support) -> (
-    let n = Tt.num_vars f in
-    let canon, tr = Stp_tt.Npn.canonical target in
-    match Common.prepare canon with
-    | `Trivial _ ->
-      (* A non-trivial function cannot have a trivial NPN representative. *)
-      assert false
-    | `Reduced (canon_target, canon_support) -> (
-      match synthesize_reduced ~options ~deadline ~memo canon_target with
-      | Some (gates, chains) ->
-        let inv = Stp_tt.Npn.inverse tr in
-        let chains =
-          chains
-          |> List.map
-               (Common.expand_chain ~n:(Tt.num_vars canon) ~support:canon_support)
-          |> List.map (fun c -> Chain.apply_npn c inv)
-          |> List.map (Common.expand_chain ~n ~support)
-        in
-        Spec.solved ~chains ~gates ~elapsed:(elapsed ())
-      | None -> Spec.timed_out ~elapsed:(elapsed ())
-      | exception Stp_util.Deadline.Timeout -> Spec.timed_out ~elapsed:(elapsed ())))
+        Spec.Infeasible
+      | exception Stp_util.Deadline.Timeout -> Spec.Timeout)

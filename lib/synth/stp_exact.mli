@@ -8,36 +8,20 @@
     with verified chains is optimum, and every optimum chain of that
     size is returned in one pass. *)
 
-val synthesize_outcome :
+val synthesize :
   ?options:Spec.options ->
   ?memo:Factor.memo ->
   deadline:Stp_util.Deadline.t ->
   Stp_tt.Tt.t ->
-  [ `Solved of Stp_chain.Chain.t list * int | `Timeout | `Infeasible ]
-(** The engine under an explicit deadline (ignoring [options.timeout]):
-    [`Solved (chains, gates)] carries all optimum chains over the
-    target's full variable space; [`Timeout] means the deadline expired
-    mid-search; [`Infeasible] means no chain exists within the options
-    (a constant target, or every size up to [options.max_gates]
-    refuted). The building block behind {!Engine.stp}. *)
-
-val synthesize :
-  ?options:Spec.options -> ?memo:Factor.memo -> Stp_tt.Tt.t -> Spec.result
-(** All optimum chains for the target. The result chains range over the
-    target's full variable space.
+  Stp_chain.Chain.t list Spec.outcome
+(** All optimum chains for the target, over the target's full variable
+    space. [Timeout] means the deadline expired mid-search;
+    [Infeasible] means no chain exists within the options (a constant
+    target, or every size up to [options.max_gates] refuted). The
+    building block behind {!Engine.stp}.
 
     [memo] lets a caller reuse one {!Factor.memo} across many targets
     (a collection run): reuse only speeds the search up, it never
     changes results. The memo's basis must match [options.basis], and a
-    memo must never be shared between domains.
-    @raise Invalid_argument on constant targets. *)
-
-val synthesize_npn :
-  ?options:Spec.options -> ?memo:Factor.memo -> Stp_tt.Tt.t -> Spec.result
-(** Like {!synthesize}, but canonicalises the target's NPN class first
-    and maps the solutions back — cheaper when many equivalent functions
-    are synthesised, and a direct use of the paper's NPN reduction.
-    Targets of more than {!Stp_tt.Npn.max_arity} support variables are
-    synthesised directly, as by {!synthesize}. For reuse of
-    the canonical class's solutions across a whole run, see
-    {!Npn_cache}. *)
+    memo must never be shared between domains. For reuse across the
+    members of an NPN class, see {!Npn_cache}. *)

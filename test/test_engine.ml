@@ -11,10 +11,8 @@ module Baselines = Stp_synth.Baselines
 module Deadline = Stp_util.Deadline
 module Prng = Stp_util.Prng
 
-let options = Spec.with_timeout 60.0
-
-let synth (module E : Engine.S) ?(options = options) f =
-  E.synthesize (Engine.spec ~options f) ~deadline:(Spec.deadline_of options)
+let synth (module E : Engine.S) ?(options = Spec.default_options) f =
+  E.synthesize (Engine.spec ~options f) ~deadline:(Deadline.after 60.0)
 
 let test_engines_agree_on_optima () =
   let targets =
@@ -70,8 +68,7 @@ let test_expired_deadline_times_out () =
   List.iter
     (fun (module E : Engine.S) ->
       match
-        E.synthesize (Engine.spec ~options f)
-          ~deadline:(Deadline.after 0.0)
+        E.synthesize (Engine.spec f) ~deadline:(Deadline.after 0.0)
       with
       | Engine.Timeout -> ()
       | Engine.Solved _ -> Alcotest.failf "%s solved under a dead deadline" E.name
@@ -82,7 +79,7 @@ let test_gate_budget_is_infeasible () =
   (* maj3 needs at least 3 gates (refutable instantly); a max_gates cap
      below that must report Infeasible, not Timeout. *)
   let f = Tt.of_hex ~n:3 "e8" in
-  let options = { options with Spec.max_gates = 2 } in
+  let options = { Spec.default_options with Spec.max_gates = 2 } in
   List.iter
     (fun e ->
       let name = Engine.name e in

@@ -1,27 +1,56 @@
-(* Tests for the extension features: restricted gate bases, depth-bounded
-   synthesis, and the chain clean-up passes. *)
+(* Tests for the extension features: restricted gate bases and
+   depth-bounded synthesis. *)
 
 module Tt = Stp_tt.Tt
 module Chain = Stp_chain.Chain
-module Chain_opt = Stp_chain.Chain_opt
-module Gate = Stp_chain.Gate
 module Spec = Stp_synth.Spec
+module Engine = Stp_synth.Engine
+module Multi = Stp_synth.Multi
 module Stp_exact = Stp_synth.Stp_exact
 module Baselines = Stp_synth.Baselines
+module Deadline = Stp_util.Deadline
 module Prng = Stp_util.Prng
 
 let and_class = [ 1; 2; 4; 7; 8; 11; 13; 14 ]
 
 let options ?basis ?max_depth () =
-  { (Spec.with_timeout 30.0) with Spec.basis; max_depth }
+  { Spec.default_options with Spec.basis; max_depth }
 
-let gates_of (r : Spec.result) = Option.get r.Spec.gates
+let deadline () = Deadline.after 30.0
 
-let check_solved name (r : Spec.result) =
-  if r.Spec.status <> Spec.Solved then Alcotest.failf "%s timed out" name
+let stp options f = Stp_exact.synthesize ~options ~deadline:(deadline ()) f
+
+(* The chains of a [Solved] outcome; any other outcome fails the test. *)
+let chains_of name = function
+  | Spec.Solved chains -> chains
+  | Spec.Timeout -> Alcotest.failf "%s timed out" name
+  | Spec.Infeasible -> Alcotest.failf "%s reported infeasible" name
+
+let gates_of chains = Chain.size (List.hd chains)
 
 let chain_uses_only basis (c : Chain.t) =
   Array.for_all (fun (s : Chain.step) -> List.mem s.gate basis) c.Chain.steps
+
+(* A refuted target must read [Infeasible], never [Timeout], from every
+   single-output engine and from both multi-output engines. *)
+let check_infeasible what options f =
+  let expect engine r =
+    Alcotest.(check string) (what ^ ": " ^ engine) "infeasible"
+      (Engine.outcome_label r)
+  in
+  List.iter
+    (fun (module E : Engine.S) ->
+      expect E.name (E.synthesize (Engine.spec ~options f) ~deadline:(deadline ())))
+    Engine.all;
+  expect "Multi.stp_shared"
+    (Multi.stp_shared ~options ~deadline:(deadline ()) [| f |]);
+  match options.Spec.max_depth with
+  | None -> expect "Multi.exact" (Multi.exact ~options ~deadline:(deadline ()) [| f |])
+  | Some _ ->
+    (* the multi-output encoding has no depth constraints *)
+    Alcotest.check_raises (what ^ ": Multi.exact refuses depth bounds")
+      (Invalid_argument "Multi.exact: depth bounds are not supported")
+      (fun () -> ignore (Multi.exact ~options ~deadline:(deadline ()) [| f |]))
 
 (* --- restricted bases --- *)
 
@@ -29,16 +58,15 @@ let test_aig_xor3 () =
   (* XOR needs 3 AND-class gates instead of 1 XOR gate; xor3 needs 2 XOR
      gates or 6 AND-class gates *)
   let xor2 = Tt.of_hex ~n:2 "6" in
-  let r = Stp_exact.synthesize ~options:(options ~basis:and_class ()) xor2 in
-  check_solved "xor2/aig" r;
-  Alcotest.(check int) "xor2 needs 3 ANDs" 3 (gates_of r);
+  let chains = chains_of "xor2/aig" (stp (options ~basis:and_class ()) xor2) in
+  Alcotest.(check int) "xor2 needs 3 ANDs" 3 (gates_of chains);
   List.iter
     (fun c ->
       Alcotest.(check bool) "only AND-class gates" true
         (chain_uses_only and_class c);
       Alcotest.(check bool) "simulates" true
         (Tt.equal (Chain.simulate c) xor2))
-    r.Spec.chains
+    chains
 
 let test_aig_vs_unrestricted () =
   (* restricted optima are never smaller; hard XOR-like primes may
@@ -50,19 +78,18 @@ let test_aig_vs_unrestricted () =
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 2 then begin
       incr tried;
-      let free = Stp_exact.synthesize ~options:(options ()) f in
-      let aig = Stp_exact.synthesize ~options:(options ~basis:and_class ()) f in
-      check_solved "free" free;
-      match aig.Spec.status with
+      let free = chains_of "free" (stp (options ()) f) in
+      match stp (options ~basis:and_class ()) f with
       | Spec.Timeout -> ()
-      | Spec.Solved ->
+      | Spec.Infeasible -> Alcotest.fail "aig reported infeasible"
+      | Spec.Solved aig ->
         incr solved;
         Alcotest.(check bool) "aig >= free" true (gates_of aig >= gates_of free);
         List.iter
           (fun c ->
             Alcotest.(check bool) "basis respected" true
               (chain_uses_only and_class c))
-          aig.Spec.chains
+          aig
     end
   done;
   Alcotest.(check bool) "most solved" true (2 * !solved >= !tried)
@@ -72,34 +99,30 @@ let test_basis_agreement_with_bms () =
   for _ = 1 to 6 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 2 then begin
-      let stp = Stp_exact.synthesize ~options:(options ~basis:and_class ()) f in
-      let bms = Baselines.bms ~options:(options ~basis:and_class ()) f in
-      check_solved "stp/aig" stp;
-      check_solved "bms/aig" bms;
+      let options = options ~basis:and_class () in
+      let stp = chains_of "stp/aig" (stp options f) in
+      let bms =
+        chains_of "bms/aig" (Baselines.bms ~options ~deadline:(deadline ()) f)
+      in
       Alcotest.(check int) "same aig optimum" (gates_of bms) (gates_of stp);
       List.iter
         (fun c ->
           Alcotest.(check bool) "bms basis" true
             (chain_uses_only [ 2; 4; 8; 14 ] c
              (* SSV decodes normal gates only: the normal AND-class *)))
-        bms.Spec.chains
+        bms
     end
   done
 
 let test_xor_basis () =
   (* parity functions in an {XOR,XNOR}-only basis *)
   let xor4 = Tt.of_hex ~n:4 "6996" in
-  let r = Stp_exact.synthesize ~options:(options ~basis:[ 6; 9 ] ()) xor4 in
-  check_solved "xor4/xor-basis" r;
-  Alcotest.(check int) "3 gates" 3 (gates_of r);
-  (* AND is impossible in the XOR basis: the engine must give up *)
-  let and2 = Tt.of_hex ~n:2 "8" in
-  let r =
-    Stp_exact.synthesize
-      ~options:{ (options ~basis:[ 6; 9 ] ()) with Spec.max_gates = 5 }
-      and2
-  in
-  Alcotest.(check bool) "and2 unsynthesisable" true (r.Spec.status = Spec.Timeout)
+  let chains = chains_of "xor4/xor-basis" (stp (options ~basis:[ 6; 9 ] ()) xor4) in
+  Alcotest.(check int) "3 gates" 3 (gates_of chains);
+  (* AND is impossible in the XOR basis: every engine must refute it *)
+  check_infeasible "and2 unsynthesisable"
+    { (options ~basis:[ 6; 9 ] ()) with Spec.max_gates = 5 }
+    (Tt.of_hex ~n:2 "8")
 
 (* --- depth bounds --- *)
 
@@ -107,44 +130,38 @@ let test_depth_bound_xor3 () =
   (* xor3 as a 2-gate chain has depth 2; with max_depth 1 no 2-gate or
      any chain fits (a depth-1 chain is a single gate) *)
   let xor3 = Tt.of_hex ~n:3 "96" in
-  let r = Stp_exact.synthesize ~options:(options ~max_depth:2 ()) xor3 in
-  check_solved "depth 2" r;
-  Alcotest.(check int) "2 gates" 2 (gates_of r);
+  let chains = chains_of "depth 2" (stp (options ~max_depth:2 ()) xor3) in
+  Alcotest.(check int) "2 gates" 2 (gates_of chains);
   List.iter
     (fun c -> Alcotest.(check bool) "depth <= 2" true (Chain.depth c <= 2))
-    r.Spec.chains;
-  let r1 =
-    Stp_exact.synthesize
-      ~options:{ (options ~max_depth:1 ()) with Spec.max_gates = 4 }
-      xor3
-  in
-  Alcotest.(check bool) "depth 1 impossible" true (r1.Spec.status = Spec.Timeout)
+    chains;
+  check_infeasible "depth 1 impossible"
+    { (options ~max_depth:1 ()) with Spec.max_gates = 4 }
+    xor3
 
 let test_depth_forces_size () =
   (* AND8 = 7 gates; a balanced tree has depth 3, a chain depth 7. With
      max_depth 3 the optimum stays 7 but all solutions are balanced. *)
   let and4 = Tt.of_hex ~n:4 "8000" in
-  let r = Stp_exact.synthesize ~options:(options ~max_depth:2 ()) and4 in
-  check_solved "and4 depth 2" r;
-  Alcotest.(check int) "3 gates" 3 (gates_of r);
+  let chains = chains_of "and4 depth 2" (stp (options ~max_depth:2 ()) and4) in
+  Alcotest.(check int) "3 gates" 3 (gates_of chains);
   List.iter
     (fun c -> Alcotest.(check bool) "balanced" true (Chain.depth c = 2))
-    r.Spec.chains
+    chains
 
 let test_depth_engines_agree () =
   let f = Tt.of_hex ~n:3 "e8" in
   let o = options ~max_depth:3 () in
-  let stp = Stp_exact.synthesize ~options:o f in
-  let fen = Baselines.fen ~options:o f in
-  let bms = Baselines.bms ~options:o f in
-  check_solved "stp" stp;
-  check_solved "fen" fen;
-  check_solved "bms(depth->fen)" bms;
+  let stp = chains_of "stp" (stp o f) in
+  let fen = chains_of "fen" (Baselines.fen ~options:o ~deadline:(deadline ()) f) in
+  let bms =
+    chains_of "bms(depth->fen)" (Baselines.bms ~options:o ~deadline:(deadline ()) f)
+  in
   Alcotest.(check int) "stp=fen" (gates_of fen) (gates_of stp);
   Alcotest.(check int) "stp=bms" (gates_of bms) (gates_of stp);
   List.iter
     (fun c -> Alcotest.(check bool) "depth bound" true (Chain.depth c <= 3))
-    (stp.Spec.chains @ fen.Spec.chains @ bms.Spec.chains)
+    (stp @ fen @ bms)
 
 (* --- DSD peeling ablation --- *)
 
@@ -154,123 +171,24 @@ let test_dsd_off_agrees () =
   for _ = 1 to 6 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 2 then begin
-      let on = Stp_exact.synthesize ~options:(options ()) f in
+      let on = chains_of "dsd on" (stp (options ()) f) in
       let off =
-        Stp_exact.synthesize
-          ~options:{ (options ()) with Spec.use_dsd = false }
-          f
+        chains_of "dsd off" (stp { (options ()) with Spec.use_dsd = false } f)
       in
-      check_solved "dsd on" on;
-      check_solved "dsd off" off;
       Alcotest.(check int) "same optimum" (gates_of off) (gates_of on);
       List.iter
         (fun c ->
           Alcotest.(check bool) "off chains correct" true
             (Tt.equal (Chain.simulate c) f))
-        off.Spec.chains
+        off
     end
   done;
   (* the paper's example as a fixed case *)
   let f = Tt.of_hex ~n:4 "8ff8" in
   let off =
-    Stp_exact.synthesize ~options:{ (options ()) with Spec.use_dsd = false } f
+    chains_of "8ff8 no dsd" (stp { (options ()) with Spec.use_dsd = false } f)
   in
-  check_solved "8ff8 no dsd" off;
   Alcotest.(check int) "3 gates" 3 (gates_of off)
-
-(* --- chain clean-up --- *)
-
-let random_chain rng ~n ~steps:k =
-  let steps =
-    List.init k (fun i ->
-        let hi = n + i in
-        let f1 = Prng.int rng hi in
-        let f2 = (f1 + 1 + Prng.int rng (hi - 1)) mod hi in
-        { Chain.fanin1 = f1; fanin2 = f2; gate = Prng.int rng 16 })
-  in
-  Chain.make ~n ~steps ~output:(n + k - 1) ~output_negated:(Prng.bool rng) ()
-
-let test_sweep_removes_dead () =
-  (* dead step: built but not referenced by the output cone *)
-  let c =
-    Chain.make ~n:2
-      ~steps:
-        [ { Chain.fanin1 = 0; fanin2 = 1; gate = 8 };
-          { Chain.fanin1 = 0; fanin2 = 1; gate = 6 } ]
-      ~output:2 ()
-  in
-  let c' = Chain_opt.sweep c in
-  Alcotest.(check int) "one step left" 1 (Chain.size c');
-  Alcotest.(check bool) "same function" true
-    (Tt.equal (Chain.simulate c) (Chain.simulate c'))
-
-let test_strash_merges_duplicates () =
-  let c =
-    Chain.make ~n:2
-      ~steps:
-        [ { Chain.fanin1 = 0; fanin2 = 1; gate = 8 };
-          { Chain.fanin1 = 0; fanin2 = 1; gate = 8 };
-          { Chain.fanin1 = 2; fanin2 = 3; gate = 14 } ]
-      ~output:4 ()
-  in
-  (* OR of two copies of AND(a,b): collapses to the single AND *)
-  let c' = Chain_opt.cleanup c in
-  Alcotest.(check int) "collapsed" 1 (Chain.size c');
-  Alcotest.(check bool) "same function" true
-    (Tt.equal (Chain.simulate c) (Chain.simulate c'))
-
-let test_strash_mirrored_fanins () =
-  (* AND(a,b) and AND(b,a) are the same gate after operand sorting *)
-  let c =
-    Chain.make ~n:2
-      ~steps:
-        [ { Chain.fanin1 = 0; fanin2 = 1; gate = 8 };
-          { Chain.fanin1 = 1; fanin2 = 0; gate = 8 };
-          { Chain.fanin1 = 2; fanin2 = 3; gate = 6 } ]
-      ~output:4 ()
-  in
-  (* XOR of the two copies would be constant 0 — but strash folds the
-     copies first, making the xor a degenerate same-signal gate, which
-     is a constant: the pass must bail out and preserve the function *)
-  let c' = Chain_opt.cleanup c in
-  Alcotest.(check bool) "function preserved" true
-    (Tt.equal (Chain.simulate c) (Chain.simulate c'))
-
-let test_strash_degenerate_gates () =
-  (* a projection gate disappears *)
-  let c =
-    Chain.make ~n:2
-      ~steps:
-        [ { Chain.fanin1 = 0; fanin2 = 1; gate = 12 } (* proj a *);
-          { Chain.fanin1 = 2; fanin2 = 1; gate = 8 } ]
-      ~output:3 ()
-  in
-  let c' = Chain_opt.cleanup c in
-  Alcotest.(check int) "projection folded" 1 (Chain.size c');
-  Alcotest.(check bool) "same function" true
-    (Tt.equal (Chain.simulate c) (Chain.simulate c'))
-
-let qcheck_cleanup_preserves =
-  QCheck.Test.make ~name:"cleanup preserves function, never grows" ~count:300
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let rng = Prng.create seed in
-      let n = 2 + Prng.int rng 3 in
-      let k = 1 + Prng.int rng 6 in
-      let c = random_chain rng ~n ~steps:k in
-      let c' = Chain_opt.cleanup c in
-      Tt.equal (Chain.simulate c) (Chain.simulate c')
-      && Chain.size c' <= Chain.size c)
-
-let qcheck_cleanup_idempotent =
-  QCheck.Test.make ~name:"cleanup is idempotent" ~count:200
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let rng = Prng.create seed in
-      let n = 2 + Prng.int rng 3 in
-      let k = 1 + Prng.int rng 6 in
-      let c = Chain_opt.cleanup (random_chain rng ~n ~steps:k) in
-      Chain.equal c (Chain_opt.cleanup c))
 
 let () =
   Alcotest.run "features"
@@ -285,13 +203,4 @@ let () =
       ( "depth",
         [ Alcotest.test_case "xor3 depth bound" `Quick test_depth_bound_xor3;
           Alcotest.test_case "and4 balanced" `Quick test_depth_forces_size;
-          Alcotest.test_case "engines agree" `Quick test_depth_engines_agree ] );
-      ( "chain_opt",
-        [ Alcotest.test_case "sweep" `Quick test_sweep_removes_dead;
-          Alcotest.test_case "strash duplicates" `Quick
-            test_strash_merges_duplicates;
-          Alcotest.test_case "mirrored fanins" `Quick test_strash_mirrored_fanins;
-          Alcotest.test_case "degenerate gates" `Quick
-            test_strash_degenerate_gates;
-          QCheck_alcotest.to_alcotest qcheck_cleanup_preserves;
-          QCheck_alcotest.to_alcotest qcheck_cleanup_idempotent ] ) ]
+          Alcotest.test_case "engines agree" `Quick test_depth_engines_agree ] ) ]

@@ -4,31 +4,40 @@
 module Tt = Stp_tt.Tt
 module Chain = Stp_chain.Chain
 module Spec = Stp_synth.Spec
+module Engine = Stp_synth.Engine
 module Runner = Stp_harness.Runner
 module Table = Stp_harness.Table
 
-let options = Spec.with_timeout 20.0
+let deadline () = Stp_util.Deadline.after 20.0
+
+(* The chains of a [Solved] outcome; any other outcome fails the test. *)
+let chains_of name = function
+  | Spec.Solved chains -> chains
+  | Spec.Timeout -> Alcotest.failf "%s timed out" name
+  | Spec.Infeasible -> Alcotest.failf "%s reported infeasible" name
+
+let gates_of chains = Chain.size (List.hd chains)
 
 let test_fdsd6_all_engines_agree () =
   (* read-once functions: every engine must find the n-1 = 5-gate optimum *)
   let fns = Stp_workloads.Dsd_gen.fdsd_collection ~n:6 ~count:3 ~seed:77 in
   List.iter
     (fun f ->
-      let stp = Stp_synth.Stp_exact.synthesize ~options f in
-      Alcotest.(check bool) "stp solved" true (stp.Spec.status = Spec.Solved);
-      Alcotest.(check int) "read-once optimum" 5 (Option.get stp.Spec.gates);
+      let stp =
+        chains_of "stp" (Stp_synth.Stp_exact.synthesize ~deadline:(deadline ()) f)
+      in
+      Alcotest.(check int) "read-once optimum" 5 (gates_of stp);
       List.iter
         (fun c ->
           Alcotest.(check bool) "simulates" true
             (Tt.equal (Chain.simulate c) f))
-        stp.Spec.chains;
-      let bms = Stp_synth.Baselines.bms ~options f in
-      match bms.Spec.status with
-      | Spec.Solved ->
-        Alcotest.(check int) "bms agrees" (Option.get stp.Spec.gates)
-          (Option.get bms.Spec.gates)
+        stp;
+      match Stp_synth.Baselines.bms ~deadline:(deadline ()) f with
+      | Spec.Solved bms ->
+        Alcotest.(check int) "bms agrees" (gates_of stp) (gates_of bms)
       | Spec.Timeout -> () (* CNF baselines may be slow; agreement only
-                              checked when they finish *))
+                              checked when they finish *)
+      | Spec.Infeasible -> Alcotest.fail "bms reported infeasible")
     fns
 
 let test_npn4_easy_classes () =
@@ -40,13 +49,12 @@ let test_npn4_easy_classes () =
   in
   List.iter
     (fun f ->
-      let r = Stp_synth.Stp_exact.synthesize ~options f in
-      Alcotest.(check bool) "solved" true (r.Spec.status = Spec.Solved);
       List.iter
         (fun c ->
           Alcotest.(check bool) "simulates" true
             (Tt.equal (Chain.simulate c) f))
-        r.Spec.chains)
+        (chains_of "solved"
+           (Stp_synth.Stp_exact.synthesize ~deadline:(deadline ()) f)))
     fns
 
 let test_runner_aggregates () =
@@ -66,8 +74,8 @@ let test_runner_aggregates () =
 let test_runner_observes () =
   let fns = [ Tt.of_hex ~n:2 "6" ] in
   let seen = ref [] in
-  let on_instance i _f (r : Spec.result) =
-    seen := (i, r.Spec.status = Spec.Solved) :: !seen
+  let on_instance i _f r =
+    seen := (i, match r with Engine.Solved _ -> true | _ -> false) :: !seen
   in
   ignore (Runner.run_collection ~timeout:20.0 ~on_instance Runner.stp_engine fns);
   Alcotest.(check (list (pair int bool))) "observed" [ (0, true) ] !seen
@@ -77,7 +85,32 @@ let test_runner_timeout_accounting () =
   let fns = [ Tt.of_hex ~n:4 "1ee6" ] in
   let agg = Runner.run_collection ~timeout:0.001 Runner.stp_engine fns in
   Alcotest.(check int) "timeout" 1 agg.Runner.timeouts;
+  Alcotest.(check int) "not infeasible" 0 agg.Runner.infeasible;
   Alcotest.(check int) "none solved" 0 agg.Runner.solved
+
+let test_runner_infeasible_accounting () =
+  (* AND2 has no chain in the XOR basis: a refutation within max_gates
+     counts as infeasible, not as a timeout; XOR3 and XNOR2 solve. The
+     runner passes default options, so the engine fixes its own. *)
+  let fns = [ Tt.of_hex ~n:3 "96"; Tt.of_hex ~n:2 "8"; Tt.of_hex ~n:2 "9" ] in
+  let options =
+    { Spec.default_options with Spec.basis = Some [ 6; 9 ]; max_gates = 5 }
+  in
+  let xor5 =
+    (module struct
+      let name = "STP-XOR5"
+
+      let synthesize (spec : Engine.spec) ~deadline =
+        Stp_synth.Stp_exact.synthesize ~options ~deadline spec.target
+    end : Engine.S)
+  in
+  let agg = Runner.run_collection ~timeout:20.0 xor5 fns in
+  Alcotest.(check int) "solved" 2 agg.Runner.solved;
+  Alcotest.(check int) "infeasible" 1 agg.Runner.infeasible;
+  Alcotest.(check int) "no timeouts" 0 agg.Runner.timeouts;
+  let module Report = Stp_harness.Report in
+  Alcotest.(check bool) "infeasible key in the JSON row" true
+    (Report.member "infeasible" (Report.aggregate_json agg) = Some (Report.Int 1))
 
 let test_table_rendering () =
   let fns = [ Tt.of_hex ~n:3 "96" ] in
@@ -113,19 +146,13 @@ let test_chains_expand_correctly_across_engines () =
   (* a function with a support hole exercises the expand path everywhere *)
   let f = Tt.expand (Tt.of_hex ~n:3 "e8") 5 [| 0; 2; 4 |] in
   List.iter
-    (fun (name, engine) ->
-      let r = engine ?options:(Some options) f in
-      match r.Spec.status with
-      | Spec.Solved ->
-        List.iter
-          (fun c ->
-            Alcotest.(check bool) (name ^ " simulates") true
-              (Tt.equal (Chain.simulate c) f))
-          r.Spec.chains
-      | Spec.Timeout -> Alcotest.failf "%s timed out" name)
-    (("STP", fun ?options f ->
-         Stp_synth.Stp_exact.synthesize ?options f)
-     :: Stp_synth.Baselines.all)
+    (fun (module E : Engine.S) ->
+      List.iter
+        (fun c ->
+          Alcotest.(check bool) (E.name ^ " simulates") true
+            (Tt.equal (Chain.simulate c) f))
+        (chains_of E.name (E.synthesize (Engine.spec f) ~deadline:(deadline ()))))
+    Engine.all
 
 let () =
   Alcotest.run "integration"
@@ -141,4 +168,6 @@ let () =
           Alcotest.test_case "timeout accounting" `Quick
             test_runner_timeout_accounting;
           Alcotest.test_case "table rendering" `Quick test_table_rendering;
-          Alcotest.test_case "csv rendering" `Quick test_csv_rendering ] ) ]
+          Alcotest.test_case "csv rendering" `Quick test_csv_rendering;
+          Alcotest.test_case "infeasible accounting" `Quick
+            test_runner_infeasible_accounting ] ) ]

@@ -7,7 +7,22 @@ module Multi = Stp_synth.Multi
 module Spec = Stp_synth.Spec
 module Prng = Stp_util.Prng
 
-let options = Spec.with_timeout 60.0
+let deadline () = Stp_util.Deadline.after 60.0
+
+(* The multi-output chain of a [Solved] outcome; any other outcome fails
+   the test. *)
+let solved what = function
+  | Spec.Solved mc -> mc
+  | Spec.Timeout -> Alcotest.failf "%s timed out" what
+  | Spec.Infeasible -> Alcotest.failf "%s reported infeasible" what
+
+let exact ?incremental fs =
+  solved "exact" (Multi.exact ?incremental ~deadline:(deadline ()) fs)
+
+let single_gates f =
+  match Stp_synth.Stp_exact.synthesize ~deadline:(deadline ()) f with
+  | Spec.Solved (c :: _) -> Chain.size c
+  | _ -> Alcotest.fail "single-output synthesis failed"
 
 let full_adder = [| Tt.of_hex ~n:3 "96" (* sum *); Tt.of_hex ~n:3 "e8" (* carry *) |]
 
@@ -46,10 +61,8 @@ let test_of_to_chain () =
     (Tt.equal (Chain.simulate back) (Chain.simulate c))
 
 let test_full_adder_exact () =
-  let r = Multi.exact ~options full_adder in
-  Alcotest.(check bool) "solved" true (r.Multi.status = Spec.Solved);
-  Alcotest.(check int) "textbook optimum" 5 (Option.get r.Multi.gates);
-  let mc = Option.get r.Multi.mchain in
+  let mc = exact full_adder in
+  Alcotest.(check int) "textbook optimum" 5 (Mchain.size mc);
   let sims = Mchain.simulate mc in
   Alcotest.(check bool) "sum" true (Tt.equal sims.(0) full_adder.(0));
   Alcotest.(check bool) "carry" true (Tt.equal sims.(1) full_adder.(1))
@@ -57,24 +70,19 @@ let test_full_adder_exact () =
 let test_exact_beats_separate () =
   (* separate optima: sum = 2 gates, carry = 4 gates -> 6 total; sharing
      brings the pair to 5 *)
-  let sum = Stp_synth.Stp_exact.synthesize ~options full_adder.(0) in
-  let carry = Stp_synth.Stp_exact.synthesize ~options full_adder.(1) in
-  let separate =
-    Option.get sum.Spec.gates + Option.get carry.Spec.gates
-  in
+  let separate = single_gates full_adder.(0) + single_gates full_adder.(1) in
   Alcotest.(check int) "separate total" 6 separate;
-  let joint = Multi.exact ~options full_adder in
   Alcotest.(check bool) "joint smaller" true
-    (Option.get joint.Multi.gates < separate)
+    (Mchain.size (exact full_adder) < separate)
 
 let test_stp_shared_valid_upper_bound () =
-  let exact = Multi.exact ~options full_adder in
-  let shared = Multi.stp_shared ~options full_adder in
-  Alcotest.(check bool) "solved" true (shared.Multi.status = Spec.Solved);
+  let exact = exact full_adder in
+  let shared =
+    solved "stp_shared" (Multi.stp_shared ~deadline:(deadline ()) full_adder)
+  in
   Alcotest.(check bool) "upper bound" true
-    (Option.get shared.Multi.gates >= Option.get exact.Multi.gates);
-  let mc = Option.get shared.Multi.mchain in
-  let sims = Mchain.simulate mc in
+    (Mchain.size shared >= Mchain.size exact);
+  let sims = Mchain.simulate shared in
   Array.iteri
     (fun k f -> Alcotest.(check bool) "correct" true (Tt.equal sims.(k) f))
     full_adder
@@ -82,16 +90,12 @@ let test_stp_shared_valid_upper_bound () =
 let test_shared_outputs_same_function () =
   (* two outputs, one the complement of the other: one gate suffices *)
   let f = Tt.band (Tt.var 2 0) (Tt.var 2 1) in
-  let r = Multi.exact ~options [| f; Tt.bnot f |] in
-  Alcotest.(check bool) "solved" true (r.Multi.status = Spec.Solved);
-  Alcotest.(check int) "one gate" 1 (Option.get r.Multi.gates)
+  Alcotest.(check int) "one gate" 1 (Mchain.size (exact [| f; Tt.bnot f |]))
 
 let test_literal_output () =
   (* an output that is a plain projection selects an input signal *)
   let f = Tt.band (Tt.var 2 0) (Tt.var 2 1) in
-  let r = Multi.exact ~options [| f; Tt.var 2 1 |] in
-  Alcotest.(check bool) "solved" true (r.Multi.status = Spec.Solved);
-  Alcotest.(check int) "one gate" 1 (Option.get r.Multi.gates)
+  Alcotest.(check int) "one gate" 1 (Mchain.size (exact [| f; Tt.var 2 1 |]))
 
 let test_random_pairs_agree () =
   let rng = Prng.create 23 in
@@ -99,23 +103,20 @@ let test_random_pairs_agree () =
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     let g = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if (not (Tt.is_const f)) && not (Tt.is_const g) then begin
-      let joint = Multi.exact ~options [| f; g |] in
-      Alcotest.(check bool) "solved" true (joint.Multi.status = Spec.Solved);
-      let mc = Option.get joint.Multi.mchain in
-      let sims = Mchain.simulate mc in
+      let joint = exact [| f; g |] in
+      let sims = Mchain.simulate joint in
       Alcotest.(check bool) "f" true (Tt.equal sims.(0) f);
       Alcotest.(check bool) "g" true (Tt.equal sims.(1) g);
       (* joint never beats the best single output's optimum *)
-      let single = Stp_synth.Stp_exact.synthesize ~options f in
       Alcotest.(check bool) "lower bounded" true
-        (Option.get joint.Multi.gates >= Option.get single.Spec.gates)
+        (Mchain.size joint >= single_gates f)
     end
   done
 
 let test_constant_rejected () =
   Alcotest.check_raises "constant"
     (Invalid_argument "Multi: constant outputs have no Boolean chain")
-    (fun () -> ignore (Multi.exact [| Tt.zero 2 |]))
+    (fun () -> ignore (Multi.exact ~deadline:(deadline ()) [| Tt.zero 2 |]))
 
 let test_cold_incremental_agree () =
   (* The shared-solver sweep must find the same joint optimum as the
@@ -125,14 +126,10 @@ let test_cold_incremental_agree () =
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     let g = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if (not (Tt.is_const f)) && not (Tt.is_const g) then begin
-      let cold = Multi.exact ~incremental:false ~options [| f; g |] in
-      let inc = Multi.exact ~incremental:true ~options [| f; g |] in
-      Alcotest.(check bool) "cold solved" true
-        (cold.Multi.status = Spec.Solved);
-      Alcotest.(check bool) "inc solved" true (inc.Multi.status = Spec.Solved);
-      Alcotest.(check (option int))
-        "optimum agrees" cold.Multi.gates inc.Multi.gates;
-      let sims = Mchain.simulate (Option.get inc.Multi.mchain) in
+      let cold = exact ~incremental:false [| f; g |] in
+      let inc = exact ~incremental:true [| f; g |] in
+      Alcotest.(check int) "optimum agrees" (Mchain.size cold) (Mchain.size inc);
+      let sims = Mchain.simulate inc in
       Alcotest.(check bool) "inc f" true (Tt.equal sims.(0) f);
       Alcotest.(check bool) "inc g" true (Tt.equal sims.(1) g)
     end

@@ -7,16 +7,26 @@ module Tt = Stp_tt.Tt
 module Npn = Stp_tt.Npn
 module Chain = Stp_chain.Chain
 module Spec = Stp_synth.Spec
+module Engine = Stp_synth.Engine
 module Stp_exact = Stp_synth.Stp_exact
 module Npn_cache = Stp_synth.Npn_cache
+module Deadline = Stp_util.Deadline
 module Prng = Stp_util.Prng
 
-let options = Spec.with_timeout 60.0
+(* The chains of a [Solved] outcome; any other outcome fails the test. *)
+let chains_of what = function
+  | Spec.Solved chains -> chains
+  | Spec.Timeout -> Alcotest.failf "%s timed out" what
+  | Spec.Infeasible -> Alcotest.failf "%s reported infeasible" what
 
-let gates_of (r : Spec.result) = Option.value ~default:(-1) r.Spec.gates
+let gates_of chains = Chain.size (List.hd chains)
 
-let check_solved what (r : Spec.result) =
-  Alcotest.(check bool) (what ^ " solved") true (r.Spec.status = Spec.Solved)
+let cold f = chains_of "cold" (Stp_exact.synthesize ~deadline:(Deadline.after 60.0) f)
+
+(* The STP engine behind [cache]. *)
+let cached ?(deadline = Deadline.after 60.0) cache f =
+  let (module E : Engine.S) = Npn_cache.wrap cache Engine.stp in
+  E.synthesize (Engine.spec f) ~deadline
 
 let random_tt rng n =
   Tt.of_fun n (fun _ -> Prng.bool rng)
@@ -34,24 +44,20 @@ let test_hit_matches_cold_synthesis () =
   let targets = Stp_workloads.Dsd_gen.fdsd_collection ~n:4 ~count:6 ~seed:2024 in
   List.iter
     (fun f ->
-      let cold = Stp_exact.synthesize ~options f in
-      check_solved "cold" cold;
+      let cold = cold f in
       let cache = Npn_cache.create () in
-      let miss = Npn_cache.synthesize ~options cache f in
-      check_solved "miss" miss;
+      let miss = chains_of "miss" (cached cache f) in
       Alcotest.(check int) "miss optimum" (gates_of cold) (gates_of miss);
       (* A different member of the same class must be a replay. *)
       let g = Npn.apply f (random_transform rng 4) in
-      let hit = Npn_cache.synthesize ~options cache g in
-      check_solved "hit" hit;
+      let hit = chains_of "hit" (cached cache g) in
       Alcotest.(check int) "hit optimum == cold optimum" (gates_of cold)
         (gates_of hit);
-      Alcotest.(check bool) "chains returned" true (hit.Spec.chains <> []);
       List.iter
         (fun c ->
           Alcotest.(check bool) "hit chain simulates to target" true
             (Tt.equal (Chain.simulate c) g))
-        hit.Spec.chains;
+        hit;
       let s = Npn_cache.stats cache in
       Alcotest.(check int) "one hit" 1 s.Npn_cache.hits;
       Alcotest.(check int) "one miss" 1 s.Npn_cache.misses;
@@ -70,15 +76,12 @@ let test_hit_count_matches_cold_count () =
       incr tried;
       let cache = Npn_cache.create () in
       (* Warm the cache with the class representative's orbit member. *)
-      ignore (Npn_cache.synthesize ~options cache (Npn.apply f (random_transform rng 3)));
-      let cold = Stp_exact.synthesize ~options f in
-      let hit = Npn_cache.synthesize ~options cache f in
-      check_solved "cold" cold;
-      check_solved "hit" hit;
+      ignore (cached cache (Npn.apply f (random_transform rng 3)));
+      let cold = cold f in
+      let hit = chains_of "hit" (cached cache f) in
       Alcotest.(check int) "same optimum" (gates_of cold) (gates_of hit);
       Alcotest.(check int) "same number of optimum chains"
-        (List.length cold.Spec.chains)
-        (List.length hit.Spec.chains)
+        (List.length cold) (List.length hit)
     end
   done
 
@@ -90,14 +93,13 @@ let test_many_members_one_synthesis () =
     f :: List.init 15 (fun _ -> Npn.apply f (random_transform rng 4))
   in
   let cache = Npn_cache.create () in
-  let results = List.map (Npn_cache.synthesize ~options cache) members in
+  let results = List.map (cached cache) members in
   List.iter2
     (fun m r ->
-      check_solved "member" r;
       List.iter
         (fun c ->
           Alcotest.(check bool) "simulates" true (Tt.equal (Chain.simulate c) m))
-        r.Spec.chains)
+        (chains_of "member" r))
     members results;
   let s = Npn_cache.stats cache in
   Alcotest.(check int) "one miss for the whole orbit" 1 s.Npn_cache.misses;
@@ -112,8 +114,7 @@ let test_wide_support_bypasses () =
     List.fold_left Tt.bor (Tt.var 7 0) (List.init 6 (fun i -> Tt.var 7 (i + 1)))
   in
   let cache = Npn_cache.create () in
-  let r = Npn_cache.synthesize ~options cache f in
-  check_solved "wide" r;
+  let r = chains_of "wide" (cached cache f) in
   Alcotest.(check int) "read-once optimum" 6 (gates_of r);
   let s = Npn_cache.stats cache in
   Alcotest.(check int) "bypassed" 1 s.Npn_cache.bypassed;
@@ -121,8 +122,7 @@ let test_wide_support_bypasses () =
 
 let test_trivial_targets_skip_cache () =
   let cache = Npn_cache.create () in
-  let r = Npn_cache.synthesize ~options cache (Tt.var 4 2) in
-  check_solved "projection" r;
+  let r = chains_of "projection" (cached cache (Tt.var 4 2)) in
   Alcotest.(check int) "gate-free" 0 (gates_of r);
   let s = Npn_cache.stats cache in
   Alcotest.(check int) "no lookups" 0
@@ -136,27 +136,16 @@ let test_wrapped_baseline_agrees () =
   let (module E : Stp_synth.Engine.S) =
     Npn_cache.wrap cache Stp_synth.Engine.bms
   in
-  let run g =
-    let t0 = Stp_util.Unix_time.now () in
-    let r =
-      E.synthesize (Stp_synth.Engine.spec ~options g)
-        ~deadline:(Spec.deadline_of options)
-    in
-    Stp_synth.Engine.to_spec_result
-      ~elapsed:(Stp_util.Unix_time.now () -. t0)
-      r
-  in
-  let r1 = run f in
+  let run g = E.synthesize (Engine.spec g) ~deadline:(Deadline.after 60.0) in
+  let r1 = chains_of "bms miss" (run f) in
   let g = Npn.apply f { Npn.perm = [| 3; 1; 0; 2 |]; input_neg = 5; output_neg = true } in
-  let r2 = run g in
-  check_solved "bms miss" r1;
-  check_solved "bms hit" r2;
+  let r2 = chains_of "bms hit" (run g) in
   Alcotest.(check int) "same optimum" (gates_of r1) (gates_of r2);
   List.iter
     (fun c ->
       Alcotest.(check bool) "baseline replay simulates" true
         (Tt.equal (Chain.simulate c) g))
-    r2.Spec.chains;
+    r2;
   let s = Npn_cache.stats cache in
   Alcotest.(check int) "hit" 1 s.Npn_cache.hits
 
@@ -165,14 +154,11 @@ let test_timeouts_not_cached () =
      than the 0.5 ms budget below, yet instant with a real one. *)
   let f = Tt.of_hex ~n:4 "b4d2" in
   let cache = Npn_cache.create () in
-  let r =
-    Npn_cache.synthesize ~options:(Spec.with_timeout 0.0005) cache f
-  in
-  Alcotest.(check bool) "timed out" true (r.Spec.status = Spec.Timeout);
+  let r = cached ~deadline:(Deadline.after 0.0005) cache f in
+  Alcotest.(check bool) "timed out" true (r = Spec.Timeout);
   Alcotest.(check int) "nothing cached" 0 (Npn_cache.classes cache);
   (* With budget restored the same cache must now solve and store. *)
-  let r2 = Npn_cache.synthesize ~options cache f in
-  check_solved "after timeout" r2;
+  ignore (chains_of "after timeout" (cached cache f));
   Alcotest.(check int) "class stored" 1 (Npn_cache.classes cache)
 
 let test_known_timeouts_skip_solver () =
@@ -185,7 +171,7 @@ let test_known_timeouts_skip_solver () =
     if !fail then Stp_synth.Engine.Timeout
     else
       let (module E : Stp_synth.Engine.S) = Stp_synth.Engine.stp in
-      E.synthesize spec ~deadline:(Spec.deadline_of options)
+      E.synthesize spec ~deadline:(Deadline.after 60.0)
   in
   let cache = Npn_cache.create () in
   let solve = Npn_cache.wrap_solver cache solver in

@@ -1,10 +1,8 @@
 (* Tests for the CDCL SAT solver: brute-force cross-checks on random
-   instances, classic UNSAT families, assumptions, model enumeration,
-   DIMACS parsing. *)
+   instances, classic UNSAT families, assumptions, DIMACS parsing. *)
 
 module Solver = Stp_sat.Solver
 module Lit = Stp_sat.Lit
-module Allsat = Stp_sat.Allsat
 module Dimacs = Stp_sat.Dimacs
 module Prng = Stp_util.Prng
 
@@ -179,39 +177,6 @@ let test_conflict_budget () =
   done;
   Alcotest.(check bool) "unknown on tiny budget" true
     (Solver.solve ~conflict_budget:1 s = Solver.Unknown)
-
-let test_allsat_enumeration () =
-  let s = Solver.create () in
-  let vs = List.init 3 (fun _ -> Solver.new_var s) in
-  (* at least one true: 7 models over 3 vars *)
-  Solver.add_clause s (List.map Lit.pos vs);
-  (match Allsat.models ~over:vs s with
-   | Some models -> Alcotest.(check int) "model count" 7 (List.length models)
-   | None -> Alcotest.fail "deadline unexpectedly hit")
-
-let test_allsat_vs_brute_force () =
-  let rng = Prng.create 99 in
-  for _ = 1 to 50 do
-    let nv, clauses = random_instance rng ~max_vars:6 ~clause_factor:2 in
-    let s = fresh_solver nv clauses in
-    let vs = List.init nv (fun i -> i) in
-    match Allsat.models ~over:vs s with
-    | None -> Alcotest.fail "deadline"
-    | Some models ->
-      let count = ref 0 in
-      for m = 0 to (1 lsl nv) - 1 do
-        let ok =
-          List.for_all
-            (fun c ->
-              List.exists
-                (fun l -> ((m lsr Lit.var l) land 1 = 1) = Lit.sign l)
-                c)
-            clauses
-        in
-        if ok then incr count
-      done;
-      Alcotest.(check int) "allsat count" !count (List.length models)
-  done
 
 let test_dimacs_roundtrip () =
   let text = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n" in
@@ -427,9 +392,6 @@ let () =
           Alcotest.test_case "selector retirement" `Quick
             test_selector_retirement;
           Alcotest.test_case "lbd tiers" `Quick test_lbd_tiers ] );
-      ( "allsat",
-        [ Alcotest.test_case "enumeration" `Quick test_allsat_enumeration;
-          Alcotest.test_case "vs brute force" `Slow test_allsat_vs_brute_force ] );
       ( "dimacs",
         [ Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
           Alcotest.test_case "invalid" `Quick test_dimacs_invalid ] ) ]

@@ -12,12 +12,10 @@ module Report = Stp_harness.Report
 module Store = Stp_store.Store
 module Daemon = Stp_store.Daemon
 
-let options = Spec.with_timeout 60.0
-
 let solve_into cache f =
   let (module E : Engine.S) = Npn_cache.wrap cache Engine.stp in
   match
-    E.synthesize (Engine.spec ~options f) ~deadline:(Spec.deadline_of options)
+    E.synthesize (Engine.spec f) ~deadline:(Stp_util.Deadline.after 60.0)
   with
   | Engine.Solved _ -> ()
   | Engine.Timeout | Engine.Infeasible -> Alcotest.fail "expected Solved"

@@ -12,10 +12,20 @@ module Baselines = Stp_synth.Baselines
 module Dag = Stp_topology.Dag
 module Prng = Stp_util.Prng
 
-let gates_of (r : Spec.result) = Option.get r.Spec.gates
+module Deadline = Stp_util.Deadline
+module Engine = Stp_synth.Engine
+module Npn_cache = Stp_synth.Npn_cache
 
-let check_solved name (r : Spec.result) =
-  if r.Spec.status <> Spec.Solved then Alcotest.failf "%s timed out" name
+(* The chains of a [Solved] outcome; any other outcome fails the test. *)
+let chains_of name = function
+  | Spec.Solved chains -> chains
+  | Spec.Timeout -> Alcotest.failf "%s timed out" name
+  | Spec.Infeasible -> Alcotest.failf "%s reported infeasible" name
+
+let gates_of chains = Chain.size (List.hd chains)
+
+let stp ?options f =
+  Stp_exact.synthesize ?options ~deadline:(Deadline.after 30.0) f
 
 (* --- decompose --- *)
 
@@ -393,72 +403,80 @@ let known_optima =
 let test_stp_known_optima () =
   List.iter
     (fun (name, f, expected) ->
-      let r = Stp_exact.synthesize ~options:(Spec.with_timeout 30.0) f in
-      check_solved name r;
-      Alcotest.(check int) (name ^ " optimum") expected (gates_of r);
+      let chains = chains_of name (stp f) in
+      Alcotest.(check int) (name ^ " optimum") expected (gates_of chains);
       List.iter
         (fun c ->
           Alcotest.(check bool) (name ^ " chain correct") true
             (Tt.equal (Chain.simulate c) f))
-        r.Spec.chains)
+        chains)
     known_optima
+
+let baselines =
+  [ ("BMS", Baselines.bms); ("FEN", Baselines.fen); ("ABC", Baselines.abc) ]
 
 let test_baselines_known_optima () =
   List.iter
-    (fun (engine_name, engine) ->
+    (fun (engine_name, (engine : Baselines.engine)) ->
       List.iter
         (fun (name, f, expected) ->
-          let r = engine ?options:(Some (Spec.with_timeout 30.0)) f in
-          check_solved (engine_name ^ " " ^ name) r;
-          Alcotest.(check int)
-            (engine_name ^ " " ^ name ^ " optimum")
-            expected (gates_of r);
+          let name = engine_name ^ " " ^ name in
+          let chains =
+            chains_of name (engine ~deadline:(Deadline.after 30.0) f)
+          in
+          Alcotest.(check int) (name ^ " optimum") expected (gates_of chains);
           List.iter
             (fun c ->
               Alcotest.(check bool) "chain correct" true
                 (Tt.equal (Chain.simulate c) f))
-            r.Spec.chains)
+            chains)
         known_optima)
-    Baselines.all
+    baselines
 
 let test_trivial_targets () =
   (* literals need zero gates in every engine *)
   let lit = Tt.var 4 2 in
   List.iter
     (fun r ->
-      check_solved "literal" r;
-      Alcotest.(check int) "0 gates" 0 (gates_of r);
+      let chains = chains_of "literal" r in
+      Alcotest.(check int) "0 gates" 0 (gates_of chains);
       Alcotest.(check bool) "simulates" true
-        (Tt.equal (Chain.simulate (List.hd r.Spec.chains)) lit))
-    [ Stp_exact.synthesize lit; Baselines.bms lit; Baselines.fen lit;
-      Baselines.abc lit ];
+        (Tt.equal (Chain.simulate (List.hd chains)) lit))
+    (Stp_exact.synthesize ~deadline:Deadline.never lit
+     :: List.map
+          (fun (_, (engine : Baselines.engine)) ->
+            engine ~deadline:Deadline.never lit)
+          baselines);
   (* complemented literal *)
   let nlit = Tt.bnot (Tt.var 3 0) in
-  let r = Stp_exact.synthesize nlit in
-  Alcotest.(check int) "0 gates" 0 (gates_of r);
+  let chains =
+    chains_of "negated literal" (Stp_exact.synthesize ~deadline:Deadline.never nlit)
+  in
+  Alcotest.(check int) "0 gates" 0 (gates_of chains);
   Alcotest.(check bool) "simulates" true
-    (Tt.equal (Chain.simulate (List.hd r.Spec.chains)) nlit)
+    (Tt.equal (Chain.simulate (List.hd chains)) nlit)
 
 let test_constant_rejected () =
+  (* a constant has no Boolean chain: an answer, not an exception *)
   List.iter
     (fun f ->
-      Alcotest.check_raises "constant"
-        (Invalid_argument "synthesis: constant target has no Boolean chain")
-        (fun () -> ignore (Stp_exact.synthesize f)))
+      match Stp_exact.synthesize ~deadline:Deadline.never f with
+      | Spec.Infeasible -> ()
+      | Spec.Solved _ | Spec.Timeout ->
+        Alcotest.fail "constant target not reported Infeasible")
     [ Tt.zero 3; Tt.one 3 ]
 
 let test_engines_agree_random () =
   (* On random 3-input functions every engine must report the same
      optimum gate count. *)
   let rng = Prng.create 51 in
-  let options = Spec.with_timeout 30.0 in
   for _ = 1 to 15 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 1 then begin
-      let stp = Stp_exact.synthesize ~options f in
-      let bms = Baselines.bms ~options f in
-      check_solved "stp" stp;
-      check_solved "bms" bms;
+      let stp = chains_of "stp" (stp f) in
+      let bms =
+        chains_of "bms" (Baselines.bms ~deadline:(Deadline.after 30.0) f)
+      in
       Alcotest.(check int) "same optimum" (gates_of bms) (gates_of stp)
     end
   done
@@ -467,21 +485,16 @@ let test_cold_incremental_agree () =
   (* The shared-solver and cold paths of every baseline must report the
      same optimum, and both decoded chains must compute the target. *)
   let rng = Prng.create 86 in
-  let options = Spec.with_timeout 30.0 in
-  let engines =
-    [ ("bms", fun ~incremental f -> Baselines.bms ~incremental ~options f);
-      ("fen", fun ~incremental f -> Baselines.fen ~incremental ~options f);
-      ("abc", fun ~incremental f -> Baselines.abc ~incremental ~options f) ]
-  in
   for _ = 1 to 8 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 1 then
       List.iter
-        (fun (name, engine) ->
-          let cold = engine ~incremental:false f in
-          let inc = engine ~incremental:true f in
-          check_solved (name ^ " cold") cold;
-          check_solved (name ^ " incremental") inc;
+        (fun (name, (engine : Baselines.engine)) ->
+          let run incremental =
+            engine ~incremental ~deadline:(Deadline.after 30.0) f
+          in
+          let cold = chains_of (name ^ " cold") (run false) in
+          let inc = chains_of (name ^ " incremental") (run true) in
           Alcotest.(check int)
             (name ^ " optimum agrees")
             (gates_of cold) (gates_of inc);
@@ -491,18 +504,19 @@ let test_cold_incremental_agree () =
                 (name ^ " incremental chain correct")
                 true
                 (Tt.equal (Chain.simulate c) f))
-            inc.Spec.chains)
-        engines
+            inc)
+        baselines
   done
 
 let test_all_solutions_distinct_and_verified () =
   let f = Tt.of_hex ~n:3 "e8" in
-  let r = Stp_exact.synthesize f in
-  check_solved "maj" r;
+  let chains =
+    chains_of "maj" (Stp_exact.synthesize ~deadline:Deadline.never f)
+  in
   let keys =
     List.map
       (fun c -> Format.asprintf "%a" Chain.pp_compact (Chain.normalise_fanin_order c))
-      r.Spec.chains
+      chains
   in
   let distinct = List.sort_uniq compare keys in
   Alcotest.(check int) "no duplicates" (List.length keys) (List.length distinct);
@@ -510,19 +524,20 @@ let test_all_solutions_distinct_and_verified () =
     (fun c ->
       Alcotest.(check bool) "verified" true
         (Stp_circuitsat.Circuit_solver.verify_chain c f);
-      Alcotest.(check int) "optimal size" (gates_of r) (Chain.size c))
-    r.Spec.chains
+      Alcotest.(check int) "optimal size" (gates_of chains) (Chain.size c))
+    chains
 
 let test_all_solutions_superset_of_example7 () =
   (* the two chains of the paper's Example 7 must be among the
      all-solutions output for 0x8ff8 *)
   let f = Tt.of_hex ~n:4 "8ff8" in
-  let r = Stp_exact.synthesize f in
-  check_solved "8ff8" r;
+  let chains =
+    chains_of "8ff8" (Stp_exact.synthesize ~deadline:Deadline.never f)
+  in
   let normalised =
     List.map
       (fun c -> Format.asprintf "%a" Chain.pp_compact (Chain.normalise_fanin_order c))
-      r.Spec.chains
+      chains
   in
   let expect_chain steps =
     let c = Chain.make ~n:4 ~steps ~output:6 () in
@@ -534,7 +549,7 @@ let test_all_solutions_superset_of_example7 () =
     List.mem key normalised
     || List.exists
          (fun c' -> Tt.equal (Chain.simulate c') (Chain.simulate c))
-         r.Spec.chains
+         chains
   in
   Alcotest.(check bool) "Example 7 variant 1" true
     (expect_chain
@@ -552,40 +567,39 @@ let test_support_reduction () =
      compacted form, with correctly relabelled inputs *)
   let core = Tt.of_hex ~n:3 "96" in
   let f = Tt.expand core 6 [| 1; 3; 5 |] in
-  let r = Stp_exact.synthesize f in
-  check_solved "embedded xor3" r;
-  Alcotest.(check int) "2 gates" 2 (gates_of r);
+  let chains =
+    chains_of "embedded xor3" (Stp_exact.synthesize ~deadline:Deadline.never f)
+  in
+  Alcotest.(check int) "2 gates" 2 (gates_of chains);
   List.iter
     (fun c ->
       Alcotest.(check int) "over 6 vars" 6 c.Chain.n;
       Alcotest.(check bool) "simulates" true (Tt.equal (Chain.simulate c) f))
-    r.Spec.chains
+    chains
 
 let test_timeout_reported () =
   (* an extremely tight deadline must yield a clean timeout *)
   let f = Tt.of_hex ~n:4 "1ee6" in
-  let r = Stp_exact.synthesize ~options:(Spec.with_timeout 0.001) f in
-  Alcotest.(check bool) "timeout" true (r.Spec.status = Spec.Timeout);
-  Alcotest.(check (list unit)) "no chains" [] (List.map ignore r.Spec.chains)
+  match Stp_exact.synthesize ~deadline:(Deadline.after 0.001) f with
+  | Spec.Timeout -> ()
+  | Spec.Solved _ | Spec.Infeasible -> Alcotest.fail "expected Timeout"
 
 let test_deadline_binds () =
   (* An 8-variable prime target with DSD peeling off keeps the STP
      search inside long factorisation calls between polls; a 1 s
      deadline must still end the run within 1.2 s. *)
   let f = Stp_workloads.Dsd_gen.pdsd ~n:8 ~seed:1000 in
-  let options = { (Spec.with_timeout 1.0) with Spec.use_dsd = false } in
+  let options = { Spec.default_options with Spec.use_dsd = false } in
   let t0 = Stp_util.Unix_time.now () in
-  let r = Stp_exact.synthesize ~options f in
+  let r = Stp_exact.synthesize ~options ~deadline:(Deadline.after 1.0) f in
   let wall = Stp_util.Unix_time.now () -. t0 in
-  Alcotest.(check bool) "timeout" true (r.Spec.status = Spec.Timeout);
-  if r.Spec.elapsed >= 1.2 || wall >= 1.2 then
-    Alcotest.failf "1 s deadline returned after %.2f s (reported %.2f s)" wall
-      r.Spec.elapsed
+  Alcotest.(check bool) "timeout" true (r = Spec.Timeout);
+  if wall >= 1.2 then
+    Alcotest.failf "1 s deadline returned after %.2f s" wall
 
 (* --- step (iv): Common.optimal_and_verified --- *)
 
 module Common = Stp_synth.Common
-module Deadline = Stp_util.Deadline
 
 let example7_steps =
   [ { Chain.fanin1 = 2; fanin2 = 3; gate = 6 };
@@ -653,65 +667,66 @@ let test_deadline_binds_through_verification () =
   let f = Stp_workloads.Dsd_gen.pdsd ~n:8 ~seed:1008 in
   let run deadline =
     let t0 = Stp_util.Unix_time.now () in
-    let r = Stp_exact.synthesize_outcome ~deadline f in
+    let r = Stp_exact.synthesize ~deadline f in
     (r, Stp_util.Unix_time.now () -. t0)
   in
   let full =
     List.fold_left min infinity
       (List.init 3 (fun _ ->
            match run Deadline.never with
-           | `Solved _, wall -> wall
+           | Spec.Solved _, wall -> wall
            | _ -> Alcotest.fail "pdsd8 target unsolved without a deadline"))
   in
   List.iteri
     (fun i share ->
       let budget = share *. full in
       match run (Deadline.after budget) with
-      | `Timeout, wall when wall <= budget +. 0.05 -> ()
-      | `Timeout, wall ->
+      | Spec.Timeout, wall when wall <= budget +. 0.05 -> ()
+      | Spec.Timeout, wall ->
         Alcotest.failf "%.3f s deadline returned after %.3f s" budget wall
-      | `Solved _, wall when i > 0 && wall <= budget -> ()
+      | Spec.Solved _, wall when i > 0 && wall <= budget -> ()
       | _, wall ->
         Alcotest.failf "no Timeout under %.3f s (answered after %.3f s)" budget
           wall)
     [ 0.1; 0.2; 0.3; 0.4; 0.5 ]
 
-let test_synthesize_npn_agrees () =
+(* NPN reuse goes through [Npn_cache]: a class member solved via its
+   canonical representative must reach the direct optimum. *)
+let npn_stp f =
+  let (module E : Engine.S) = Npn_cache.wrap (Npn_cache.create ()) Engine.stp in
+  E.synthesize (Engine.spec f) ~deadline:(Deadline.after 30.0)
+
+let test_npn_route_agrees () =
   let rng = Prng.create 57 in
-  let options = Spec.with_timeout 30.0 in
   for _ = 1 to 8 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 2 then begin
-      let direct = Stp_exact.synthesize ~options f in
-      let via_npn = Stp_exact.synthesize_npn ~options f in
-      check_solved "direct" direct;
-      check_solved "npn" via_npn;
+      let direct = chains_of "direct" (stp f) in
+      let via_npn = chains_of "npn" (npn_stp f) in
       Alcotest.(check int) "same optimum" (gates_of direct) (gates_of via_npn);
       List.iter
         (fun c ->
           Alcotest.(check bool) "npn chain simulates" true
             (Tt.equal (Chain.simulate c) f))
-        via_npn.Spec.chains
+        via_npn
     end
   done
 
-let test_synthesize_npn_wide () =
-  (* beyond canonicalisation arity the NPN variant solves directly *)
+let test_npn_route_wide () =
+  (* beyond canonicalisation arity the NPN route solves directly *)
   let v i = Tt.var 7 i in
   let f =
     Tt.bxor (Tt.band (Tt.bor (v 0) (v 1)) (v 2))
       (Tt.bor (Tt.band (v 3) (v 4)) (Tt.bxor (v 5) (v 6)))
   in
-  let options = Spec.with_timeout 30.0 in
-  let direct = Stp_exact.synthesize ~options f in
-  let via_npn = Stp_exact.synthesize_npn ~options f in
-  check_solved "npn" via_npn;
+  let direct = chains_of "direct" (stp f) in
+  let via_npn = chains_of "npn" (npn_stp f) in
   Alcotest.(check int) "same optimum" (gates_of direct) (gates_of via_npn);
   List.iter
     (fun c ->
       Alcotest.(check bool) "npn chain simulates" true
         (Tt.equal (Chain.simulate c) f))
-    via_npn.Spec.chains
+    via_npn
 
 let test_fdsd6_optimum () =
   (* a read-once 6-input function must synthesise at n-1 gates *)
@@ -720,13 +735,12 @@ let test_fdsd6_optimum () =
     let d = Tt.var 6 3 and e = Tt.var 6 4 and g = Tt.var 6 5 in
     Tt.bor (Tt.band (Tt.bxor a b) c) (Tt.band (Tt.bor d e) (Tt.bnot g))
   in
-  let r = Stp_exact.synthesize ~options:(Spec.with_timeout 30.0) f in
-  check_solved "fdsd6" r;
-  Alcotest.(check int) "read-once optimum" 5 (gates_of r);
+  let chains = chains_of "fdsd6" (stp f) in
+  Alcotest.(check int) "read-once optimum" 5 (gates_of chains);
   List.iter
     (fun ch ->
       Alcotest.(check bool) "simulates" true (Tt.equal (Chain.simulate ch) f))
-    r.Spec.chains
+    chains
 
 let () =
   Alcotest.run "synth"
@@ -767,8 +781,8 @@ let () =
             test_all_solutions_superset_of_example7;
           Alcotest.test_case "support reduction" `Quick test_support_reduction;
           Alcotest.test_case "timeout" `Quick test_timeout_reported;
-          Alcotest.test_case "npn variant" `Slow test_synthesize_npn_agrees;
-          Alcotest.test_case "npn variant, 7 inputs" `Quick test_synthesize_npn_wide;
+          Alcotest.test_case "npn variant" `Slow test_npn_route_agrees;
+          Alcotest.test_case "npn variant, 7 inputs" `Quick test_npn_route_wide;
           Alcotest.test_case "fdsd6 optimum" `Slow test_fdsd6_optimum;
           Alcotest.test_case "deadline binds on a wide target" `Quick
             test_deadline_binds;

@@ -319,12 +319,11 @@ let kernels () =
    - raw CDCL throughput (propagations/s, conflicts/s) over the
      committed DIMACS mini-corpus in bench/dimacs — every file's verdict
      is cross-checked against the .sat.cnf/.unsat.cnf label;
-   - a cold-vs-incremental A/B of the BMS and FEN budget sweeps over an
-     NPN4 subsample: same targets, same timeout, one fresh solver per
-     budget (cold) against one long-lived solver with per-budget
-     selectors (incremental). The process-wide [Solver.Totals] counters
-     are snapshotted around each leg, so the conflict/propagation saving
-     is visible next to the wall-clock one. *)
+   - the BMS and FEN budget sweeps, as they ship, over an NPN4
+     subsample: same targets, same timeout. The process-wide
+     [Solver.Totals] counters are snapshotted around each engine, so
+     conflicts, propagations and solver counts sit next to the wall
+     time. *)
 
 let sat_bench ~corpus () =
   let module Solver = Stp_sat.Solver in
@@ -392,50 +391,41 @@ let sat_bench ~corpus () =
             ("conflicts_per_s", Float conf_s) ])
       files
   in
-  (* cold vs incremental budget sweeps *)
+  (* budget sweeps *)
   let targets =
     (Collections.npn4 Collections.Default).Collections.functions
     |> List.filteri (fun i _ -> i mod 18 = 0)
   in
   let sweep_timeout = 1.0 in
-  Format.printf "@.%-6s %-12s %7s %9s %9s %12s %12s@." "engine" "mode"
-    "targets" "solved" "timeouts" "wall_s" "conflicts";
+  Format.printf "@.%-6s %7s %9s %9s %12s %12s@." "engine" "targets" "solved"
+    "timeouts" "wall_s" "conflicts";
   let sweep_rows =
-    List.concat_map
+    List.map
       (fun (name, (engine : Stp_synth.Baselines.engine)) ->
-        List.map
-          (fun incremental ->
-            let before = Solver.Totals.snapshot () in
-            let t0 = Stp_util.Profile.now_ns () in
-            let solved = ref 0 and timeouts = ref 0 in
-            List.iter
-              (fun f ->
-                let deadline = Stp_util.Deadline.after sweep_timeout in
-                match engine ~incremental ~deadline f with
-                | Stp_synth.Spec.Solved _ -> incr solved
-                | Stp_synth.Spec.Timeout | Stp_synth.Spec.Infeasible ->
-                  incr timeouts)
-              targets;
-            let wall =
-              float_of_int (Stp_util.Profile.now_ns () - t0) *. 1e-9
-            in
-            let after = Solver.Totals.snapshot () in
-            let delta key =
-              List.assoc key after - List.assoc key before
-            in
-            let mode = if incremental then "incremental" else "cold" in
-            Format.printf "%-6s %-12s %7d %9d %9d %12.2f %12d@." name mode
-              (List.length targets) !solved !timeouts wall
-              (delta "conflicts");
-            Obj
-              [ ("engine", String name); ("mode", String mode);
-                ("targets", Int (List.length targets));
-                ("solved", Int !solved); ("timeouts", Int !timeouts);
-                ("wall_s", Float wall);
-                ("conflicts", Int (delta "conflicts"));
-                ("propagations", Int (delta "propagations"));
-                ("solvers", Int (delta "solvers")) ])
-          [ false; true ])
+        let before = Solver.Totals.snapshot () in
+        let t0 = Stp_util.Profile.now_ns () in
+        let solved = ref 0 and timeouts = ref 0 in
+        List.iter
+          (fun f ->
+            let deadline = Stp_util.Deadline.after sweep_timeout in
+            match engine ~deadline f with
+            | Stp_synth.Spec.Solved _ -> incr solved
+            | Stp_synth.Spec.Timeout | Stp_synth.Spec.Infeasible ->
+              incr timeouts)
+          targets;
+        let wall = float_of_int (Stp_util.Profile.now_ns () - t0) *. 1e-9 in
+        let after = Solver.Totals.snapshot () in
+        let delta key = List.assoc key after - List.assoc key before in
+        Format.printf "%-6s %7d %9d %9d %12.2f %12d@." name
+          (List.length targets) !solved !timeouts wall (delta "conflicts");
+        Obj
+          [ ("engine", String name);
+            ("targets", Int (List.length targets));
+            ("solved", Int !solved); ("timeouts", Int !timeouts);
+            ("wall_s", Float wall);
+            ("conflicts", Int (delta "conflicts"));
+            ("propagations", Int (delta "propagations"));
+            ("solvers", Int (delta "solvers")) ])
       [ ("BMS", Stp_synth.Baselines.bms); ("FEN", Stp_synth.Baselines.fen) ]
   in
   let json =
@@ -574,7 +564,7 @@ let () =
       & info [ "sat" ]
           ~doc:
             "Run only the SAT-core microbenchmarks (DIMACS corpus \
-             throughput, cold-vs-incremental budget-sweep A/B) and write \
+             throughput, BMS and FEN budget sweeps) and write \
              BENCH_sat.json.")
   in
   let corpus =

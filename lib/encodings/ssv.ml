@@ -11,7 +11,6 @@ type t = {
   sel : (int * int * int) list array; (* per gate: (j, k, var) *)
   op : int array array;               (* per gate: vars for patterns 01 10 11 *)
   sim : (int * int, int) Hashtbl.t;   (* (gate, minterm) -> var *)
-  mutable minterms : int list;
 }
 
 (* Fence legality of fanins (j, k) for gate [i]: both come from strictly
@@ -139,15 +138,7 @@ let add_minterm_clauses t m =
   let out = Lit.make (sim_var t (t.r - 1) m) (Tt.get t.f m) in
   Solver.add_clause t.solver [ out ]
 
-let add_minterm t m =
-  if not (List.mem m t.minterms) then begin
-    t.minterms <- m :: t.minterms;
-    add_minterm_clauses t m
-  end
-
-let encoded_minterms t = t.minterms
-
-let build ?levels ?minterms ?basis ~solver ~f ~r () =
+let build ?levels ?basis ~solver ~f ~r () =
   let n = Tt.num_vars f in
   if Tt.get f 0 then invalid_arg "Ssv.build: target must be normal";
   (match levels with
@@ -162,7 +153,7 @@ let build ?levels ?minterms ?basis ~solver ~f ~r () =
   if Array.exists (fun l -> l = []) sel then None
   else begin
     let op = Array.init r (fun _ -> Array.init 3 (fun _ -> Solver.new_var solver)) in
-    let t = { solver; f; n; r; sel; op; sim = Hashtbl.create 97; minterms = [] } in
+    let t = { solver; f; n; r; sel; op; sim = Hashtbl.create 97 } in
     (* At least one fanin pair per gate. *)
     Array.iter
       (fun pairs -> Solver.add_clause solver (List.map (fun (_, _, s) -> Lit.pos s) pairs))
@@ -181,12 +172,9 @@ let build ?levels ?minterms ?basis ~solver ~f ~r () =
       done;
       Solver.add_clause solver !users
     done;
-    let minterms =
-      match minterms with
-      | Some ms -> ms
-      | None -> List.init ((1 lsl n) - 1) (fun m -> m + 1)
-    in
-    List.iter (add_minterm t) minterms;
+    for m = 1 to (1 lsl n) - 1 do
+      add_minterm_clauses t m
+    done;
     Some t
   end
 
@@ -214,8 +202,7 @@ let decode t =
    budget-specific clauses — the output must match the target, and every
    gate below the last must be read again — hang off a per-budget
    selector literal, so stepping from budget r to r+1 retires a selector
-   instead of discarding the solver. Fence restrictions become
-   per-fence assumption sets over the (shared) selection variables. *)
+   instead of discarding the solver. *)
 module Inc = struct
   type inc = {
     solver : Solver.t;
@@ -237,8 +224,6 @@ module Inc = struct
     { solver; f; n; basis; gates = 0; sel = [||]; op = [||];
       sim = Hashtbl.create 97; minterms = []; selectors = Hashtbl.create 7;
       infeasible = false }
-
-  let solver c = c.solver
 
   let sim_var c i m =
     match Hashtbl.find_opt c.sim (i, m) with
@@ -327,24 +312,6 @@ module Inc = struct
     end
 
   let encoded_minterms c = c.minterms
-
-  let fence_assumptions c ~levels =
-    let r = Array.length levels in
-    if r < 1 || not (ensure_gates c r) then None
-    else begin
-      let feasible = ref true in
-      let assumptions = ref [] in
-      for i = 0 to r - 1 do
-        let any_legal = ref false in
-        List.iter
-          (fun (j, k, s) ->
-            if fence_legal ~n:c.n ~levels i j k then any_legal := true
-            else assumptions := Lit.neg s :: !assumptions)
-          c.sel.(i);
-        if not !any_legal then feasible := false
-      done;
-      if !feasible then Some !assumptions else None
-    end
 
   let decode c ~r =
     let steps = decode_gates ~solver:c.solver ~sel:c.sel ~op:c.op ~r in

@@ -11,13 +11,12 @@
     - simulation variables [t_{i,m}] tie gate outputs to the target on
       every encoded minterm.
 
-    The encoder is parametric in three ways: an optional per-gate
+    The encoder is parametric in two ways: an optional per-gate
     {e level} assignment restricts selections to fence-legal pairs (the
-    FEN baseline); the set of encoded minterms may start small and grow
-    (the CEGAR loop of the ABC [lutexact] analogue); and an optional
-    gate {e basis} blocks operator-bit patterns outside a restricted
-    library (only the normal members of the basis can appear in an SSV
-    chain — bases closed under complementation lose no optima). The target must be {e normal}
+    FEN baseline), and an optional gate {e basis} blocks operator-bit
+    patterns outside a restricted library (only the normal members of
+    the basis can appear in an SSV chain — bases closed under
+    complementation lose no optima). The target must be {e normal}
     ([f(0,…,0) = 0]); callers synthesise the complement otherwise and
     flip the chain output. *)
 
@@ -25,7 +24,6 @@ type t
 
 val build :
   ?levels:int array ->
-  ?minterms:int list ->
   ?basis:Stp_chain.Gate.code list ->
   solver:Stp_sat.Solver.t ->
   f:Stp_tt.Tt.t ->
@@ -34,16 +32,10 @@ val build :
   t option
 (** [build ~solver ~f ~r ()] adds the encoding for an [r]-gate chain to
     [solver]. [levels.(i)], when given, is the fence level (1-based) of
-    gate [i]; gates must come in non-decreasing level order. [minterms]
-    defaults to all non-zero minterms. Returns [None] when the structure
+    gate [i]; gates must come in non-decreasing level order. Every
+    non-zero minterm is encoded. Returns [None] when the structure
     admits no legal fanin pair for some gate (infeasible fence).
     @raise Invalid_argument if [f] is not normal. *)
-
-val add_minterm : t -> int -> unit
-(** Adds the simulation and output clauses of one more minterm (CEGAR
-    refinement); no-op if already encoded. *)
-
-val encoded_minterms : t -> int list
 
 val decode : t -> Stp_chain.Chain.t
 (** Reads a chain out of the solver's current model; call only after
@@ -58,10 +50,9 @@ val decode : t -> Stp_chain.Chain.t
     match, every-gate-used) are guarded by a per-budget selector
     literal. Solve budget [r] under [~assumptions:[budget_selector r]];
     when budget [r] is refuted, {!Inc.retire} the selector — a single
-    unit clause — and move on with every learnt clause intact. Fence
-    (topology) restrictions are expressed as per-fence assumption sets
-    over the shared selection variables, so a whole fence family reuses
-    one solver too. *)
+    unit clause — and move on with every learnt clause intact. The set
+    of encoded minterms may start small and grow (the CEGAR loop of the
+    ABC [lutexact] analogue). *)
 module Inc : sig
   type inc
 
@@ -73,8 +64,6 @@ module Inc : sig
     inc
   (** No clauses are added until minterms and budgets are requested.
       @raise Invalid_argument if [f] is not normal. *)
-
-  val solver : inc -> Stp_sat.Solver.t
 
   val budget_selector : inc -> int -> Stp_sat.Lit.t option
   (** [budget_selector c r] encodes gates up to [r] (if not already
@@ -93,13 +82,6 @@ module Inc : sig
       budget. No-op if already encoded. *)
 
   val encoded_minterms : inc -> int list
-
-  val fence_assumptions : inc -> levels:int array -> Stp_sat.Lit.t list option
-  (** Assumption literals forcing every fence-illegal selection
-      variable false, for the fence described by 1-based [levels]
-      (length = gate budget). [None] when some gate has no legal pair
-      under the fence. Combine with the budget selector:
-      [solve ~assumptions:(sel :: fence_assumptions ...)]. *)
 
   val decode : inc -> r:int -> Stp_chain.Chain.t
   (** Reads the budget-[r] chain out of the current model. *)

@@ -4,158 +4,11 @@ module Mchain = Stp_chain.Mchain
 module Solver = Stp_sat.Solver
 module Lit = Stp_sat.Lit
 
-type t = {
-  solver : Solver.t;
-  n : int;
-  r : int;
-  sel : (int * int * int) list array; (* (j, k, var) per gate *)
-  op : int array array;
-  sim : int array array;              (* sim.(i).(m) for m >= 1 *)
-  out_sel : int array array;          (* out_sel.(k).(signal) *)
-  flags : bool array;                 (* per-output static complement *)
-}
-
-let build ?basis ~solver ~fs ~r () =
-  if Array.length fs = 0 then invalid_arg "Ssv_multi.build: no outputs";
-  let n = Tt.num_vars fs.(0) in
-  Array.iter
-    (fun f -> if Tt.num_vars f <> n then invalid_arg "Ssv_multi.build: arity")
-    fs;
-  (* Normalise every output; remember the complement flags. *)
-  let flags = Array.map (fun f -> Tt.get f 0) fs in
-  let fs = Array.mapi (fun k f -> if flags.(k) then Tt.bnot f else f) fs in
-  let num_minterms = (1 lsl n) - 1 in
-  let sel =
-    Array.init r (fun i ->
-        let total = n + i in
-        let pairs = ref [] in
-        for j = 0 to total - 1 do
-          for k = j + 1 to total - 1 do
-            pairs := (j, k, Solver.new_var solver) :: !pairs
-          done
-        done;
-        List.rev !pairs)
-  in
-  if r > 0 && Array.exists (fun l -> l = []) sel then None
-  else begin
-    let op = Array.init r (fun _ -> Array.init 3 (fun _ -> Solver.new_var solver)) in
-    let sim =
-      Array.init r (fun _ -> Array.init num_minterms (fun _ -> Solver.new_var solver))
-    in
-    let out_sel =
-      Array.init (Array.length fs) (fun _ ->
-          Array.init (n + r) (fun _ -> Solver.new_var solver))
-    in
-    (* signal value on minterm m: Ok lit / Error constant *)
-    let signal_lit s v m =
-      if s < n then Error ((m lsr s) land 1 = if v then 1 else 0)
-      else Ok (Lit.make sim.(s - n).(m - 1) v)
-    in
-    (* gate semantics clauses, all minterms *)
-    for i = 0 to r - 1 do
-      List.iter
-        (fun (j, k, s) ->
-          for m = 1 to num_minterms do
-            for a = 0 to 1 do
-              for b = 0 to 1 do
-                for c = 0 to 1 do
-                  let op_term =
-                    if a = 0 && b = 0 then if c = 0 then `True else `Absent
-                    else
-                      let idx = (2 * a) + b - 1 in
-                      `Lit (Lit.make op.(i).(idx) (c = 1))
-                  in
-                  match op_term with
-                  | `True -> ()
-                  | (`Absent | `Lit _) as term -> (
-                    let rec build acc = function
-                      | [] ->
-                        let acc =
-                          match term with `Lit l -> l :: acc | `Absent -> acc
-                        in
-                        Solver.add_clause solver acc
-                      | (sig_, v) :: rest -> (
-                        match signal_lit sig_ (v = 1) m with
-                        | Error true -> build acc rest
-                        | Error false -> ()
-                        | Ok l -> build (Lit.negate l :: acc) rest)
-                    in
-                    build [ Lit.neg s ] [ (j, a); (k, b); (n + i, c) ])
-                done
-              done
-            done
-          done)
-        sel.(i)
-    done;
-    (* at least one fanin pair per gate *)
-    Array.iter
-      (fun pairs ->
-        if pairs <> [] then
-          Solver.add_clause solver (List.map (fun (_, _, s) -> Lit.pos s) pairs))
-      sel;
-    (* nontrivial operators (and optional basis restriction) *)
-    Array.iter
-      (fun o ->
-        let o01 = o.(0) and o10 = o.(1) and o11 = o.(2) in
-        Solver.add_clause solver [ Lit.pos o10; Lit.pos o01; Lit.pos o11 ];
-        Solver.add_clause solver [ Lit.pos o10; Lit.neg o01; Lit.neg o11 ];
-        Solver.add_clause solver [ Lit.pos o01; Lit.pos o10; Lit.pos o11 ];
-        Solver.add_clause solver [ Lit.pos o01; Lit.neg o10; Lit.neg o11 ];
-        match basis with
-        | None -> ()
-        | Some allowed ->
-          List.iter
-            (fun c ->
-              if c land 1 = 0 && not (List.mem c allowed) then begin
-                let bit p = (c lsr p) land 1 = 1 in
-                Solver.add_clause solver
-                  [ Lit.make o01 (not (bit 1));
-                    Lit.make o10 (not (bit 2));
-                    Lit.make o11 (not (bit 3)) ]
-              end)
-            Stp_chain.Gate.nontrivial)
-      op;
-    (* outputs: one selected signal each, agreeing with the function *)
-    Array.iteri
-      (fun k osel ->
-        Solver.add_clause solver
-          (Array.to_list (Array.map Lit.pos osel));
-        Array.iteri
-          (fun s v ->
-            (* selected signal must match f_k on every minterm (minterm 0
-               is 0 = f_k(0) for gates by normality; for input signals it
-               must be checked: inputs are 0 on minterm 0 too). *)
-            for m = 1 to num_minterms do
-              match signal_lit s (Tt.get fs.(k) m) m with
-              | Error true -> ()
-              | Error false -> Solver.add_clause solver [ Lit.neg v ]
-              | Ok l -> Solver.add_clause solver [ Lit.neg v; l ]
-            done;
-            (* minterm 0: gates are normal (= 0) and inputs are 0; a
-               normalised f_k has f_k(0) = 0, so nothing to add *)
-            ignore s)
-          osel)
-      out_sel;
-    (* every gate is read by a later gate or an output *)
-    for i = 0 to r - 1 do
-      let users = ref [] in
-      for i' = i + 1 to r - 1 do
-        List.iter
-          (fun (j, k, s) -> if j = n + i || k = n + i then users := Lit.pos s :: !users)
-          sel.(i')
-      done;
-      Array.iter (fun osel -> users := Lit.pos osel.(n + i) :: !users) out_sel;
-      Solver.add_clause solver !users
-    done;
-    Some { solver; n; r; sel; op; sim; out_sel; flags }
-  end
-
-(* Monotone-extensible variant: one long-lived solver across gate
-   budgets (see {!Ssv.Inc} for the idea). Gate semantics, operator
-   constraints and per-signal output-agreement clauses persist; the
-   per-budget clauses — each output picks some signal within the
-   budget, each gate is read by a later gate or an output — hang off a
-   per-budget selector. *)
+(* One long-lived solver across gate budgets (see {!Ssv.Inc} for the
+   idea). Gate semantics, operator constraints and per-signal
+   output-agreement clauses persist; the per-budget clauses — each
+   output picks some signal within the budget, each gate is read by a
+   later gate or an output — hang off a per-budget selector. *)
 module Inc = struct
   type inc = {
     solver : Solver.t;
@@ -207,8 +60,6 @@ module Inc = struct
               v))
         c.fs;
     c
-
-  let solver c = c.solver
 
   (* value of signal [s] on minterm [m]: [Ok lit] / [Error const] *)
   let signal_lit c s v m =
@@ -382,35 +233,3 @@ module Inc = struct
     in
     Mchain.make ~n:c.n ~steps ~outputs
 end
-
-let decode t =
-  let steps =
-    List.init t.r (fun i ->
-        let j, k, _ =
-          match
-            List.find_opt (fun (_, _, s) -> Solver.value t.solver s) t.sel.(i)
-          with
-          | Some p -> p
-          | None -> invalid_arg "Ssv_multi.decode: no selection"
-        in
-        let bit idx = if Solver.value t.solver t.op.(i).(idx) then 1 else 0 in
-        let gate = (bit 0 lsl 1) lor (bit 1 lsl 2) lor (bit 2 lsl 3) in
-        { Chain.fanin1 = j; fanin2 = k; gate })
-  in
-  let outputs =
-    Array.to_list
-      (Array.mapi
-         (fun k osel ->
-           let s =
-             let rec find i =
-               if i = Array.length osel then
-                 invalid_arg "Ssv_multi.decode: no output selection"
-               else if Solver.value t.solver osel.(i) then i
-               else find (i + 1)
-             in
-             find 0
-           in
-           (s, t.flags.(k)))
-         t.out_sel)
-  in
-  Mchain.make ~n:t.n ~steps ~outputs

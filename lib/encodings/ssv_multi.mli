@@ -7,23 +7,8 @@
     decoded with a complement flag — the Boolean-chain output model of
     the paper's Section II-B. *)
 
-type t
-
-val build :
-  ?basis:Stp_chain.Gate.code list ->
-  solver:Stp_sat.Solver.t ->
-  fs:Stp_tt.Tt.t array ->
-  r:int ->
-  unit ->
-  t option
-(** All functions must have the same arity and at least one must be
-    non-constant. Returns [None] when the structure is infeasible. *)
-
-val decode : t -> Stp_chain.Mchain.t
-(** Call after [solve] returned [Sat]. *)
-
-(** Monotone-extensible form for one long-lived solver per instance —
-    the multi-output analogue of {!Ssv.Inc}. Gate semantics, operator
+(** One long-lived solver per instance — the multi-output analogue of
+    {!Ssv.Inc}. Gate semantics, operator
     constraints and per-signal output-agreement clauses persist across
     gate budgets; "each output picks a signal within the budget" and
     "each gate is used" hang off a per-budget selector literal. *)
@@ -39,8 +24,6 @@ module Inc : sig
   (** Outputs are normalised internally (complement flags are restored
       by {!decode}). Only the input-signal agreement clauses are added
       up front. @raise Invalid_argument on empty or mixed-arity [fs]. *)
-
-  val solver : inc -> Stp_sat.Solver.t
 
   val budget_selector : inc -> int -> Stp_sat.Lit.t option
   (** Encodes gates up to [r] (if not already present) plus the

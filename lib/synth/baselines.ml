@@ -25,11 +25,11 @@ let finish ~f ~n ~support ~negated chain =
 
 (* An engine is instantiated once per target and stepped through
    increasing gate budgets: [engine ~options ~deadline ~target] may
-   allocate per-instance state (for the incremental engines, one
-   long-lived solver whose learnt clauses survive every budget), and the
-   returned stepper answers each budget [~r]. The cold engines are
-   ordinary four-argument functions — partial application makes them
-   stateless steppers that rebuild a solver per call. *)
+   allocate per-instance state (for BMS and ABC, one long-lived solver
+   whose learnt clauses survive every budget), and the returned stepper
+   answers each budget [~r]. FEN is an ordinary four-argument function —
+   partial application makes it a stateless stepper that rebuilds a
+   solver per fence. *)
 let run ~options ~deadline ~engine f =
   if Tt.is_const f then Spec.Infeasible
   else
@@ -50,18 +50,6 @@ let run ~options ~deadline ~engine f =
       in
       loop (max 1 (s - 1))
 
-(* BMS, cold: the plain encoding with all minterms, fresh solver per
-   budget. *)
-let bms_engine ~options ~deadline ~target ~r =
-  let solver = Solver.create () in
-  match Ssv.build ?basis:options.Spec.basis ~solver ~f:target ~r () with
-  | None -> `Unsat
-  | Some enc -> (
-    match Solver.solve ~deadline solver with
-    | Solver.Sat -> `Sat (Ssv.decode enc)
-    | Solver.Unsat -> `Unsat
-    | Solver.Unknown -> `Unknown)
-
 let fences_for ~options r =
   let all = Fence.generate_pruned r in
   match options.Spec.max_depth with
@@ -80,8 +68,11 @@ let levels_of fence =
     fence;
   lv
 
-(* FEN, cold: one restricted encoding per pruned fence, each on a fresh
-   solver. *)
+(* FEN: one restricted encoding per pruned fence, each on a fresh
+   solver. The per-fence encodings are smaller than one shared
+   unrestricted instance (illegal selections never exist, so watch lists
+   stay short); a shared-solver variant with per-fence assumption sets
+   lost to this engine on the NPN4 sweep (EXPERIMENTS.md). *)
 let fen_engine ~options ~deadline ~target ~r =
   let fences = fences_for ~options r in
   let rec try_fences = function
@@ -103,49 +94,15 @@ let fen_engine ~options ~deadline ~target ~r =
   in
   try_fences fences
 
-(* ABC lutexact analogue, cold: CEGAR over minterms. *)
-let abc_engine ~options ~deadline ~target ~r =
-  let solver = Solver.create () in
-  let first_onset =
-    let rec find m = if Tt.get target m then m else find (m + 1) in
-    find 0
-  in
-  match
-    Ssv.build ?basis:options.Spec.basis ~minterms:[ first_onset ] ~solver
-      ~f:target ~r ()
-  with
-  | None -> `Unsat
-  | Some enc ->
-    let rec refine () =
-      if Stp_util.Deadline.expired deadline then `Unknown
-      else
-        match Solver.solve ~deadline solver with
-        | Solver.Unsat -> `Unsat
-        | Solver.Unknown -> `Unknown
-        | Solver.Sat -> (
-          let chain = Ssv.decode enc in
-          let sim = Chain.simulate chain in
-          if Tt.equal sim target then `Sat chain
-          else begin
-            (* Add the first counterexample minterm and iterate. *)
-            let diff = Tt.bxor sim target in
-            let rec first m = if Tt.get diff m then m else first (m + 1) in
-            Ssv.add_minterm enc (first 0);
-            refine ()
-          end)
-    in
-    refine ()
+(* BMS and ABC keep one solver per target, shared across every gate
+   budget. Gate semantics clauses persist; each budget's output/usage
+   clauses hang off a selector literal assumed during its solves and
+   retired (a unit clause) once the budget is refuted, so conflict
+   clauses learnt while refuting budget [r] prune the search at budget
+   [r+1]. *)
 
-(* {2 Incremental engines}
-
-   One solver per target, shared across every gate budget. Gate
-   semantics clauses persist; each budget's output/usage clauses hang
-   off a selector literal assumed during its solves and retired (a unit
-   clause) once the budget is refuted, so conflict clauses learnt while
-   refuting budget [r] prune the search at budget [r+1]. *)
-
-(* BMS, incremental: all minterms up front, one solve per budget under
-   that budget's selector. *)
+(* BMS: all minterms up front, one solve per budget under that budget's
+   selector. *)
 let bms_inc ~options ~deadline ~target =
   let solver = Solver.create () in
   let enc = Ssv.Inc.create ?basis:options.Spec.basis ~solver ~f:target () in
@@ -163,63 +120,9 @@ let bms_inc ~options ~deadline ~target =
         `Unsat
       | Solver.Unknown -> `Unknown)
 
-(* FEN, incremental: the budget selector plus per-fence assumption sets
-   over the shared selection variables — the whole fence family of every
-   budget reuses one solver. Each refutation's unsat core (the
-   assumptions actually used, {!Solver.unsat_core}) is kept: a later
-   fence whose assumption set contains a recorded core is refuted by
-   subsumption, without a solve. A core that used no fence assumption at
-   all refutes the whole budget on the spot. *)
-let fen_inc ~options ~deadline ~target =
-  let solver = Solver.create () in
-  let enc = Ssv.Inc.create ?basis:options.Spec.basis ~solver ~f:target () in
-  for m = 1 to (1 lsl Tt.num_vars target) - 1 do
-    Ssv.Inc.add_minterm enc m
-  done;
-  fun ~r ->
-    match Ssv.Inc.budget_selector enc r with
-    | None -> `Unsat
-    | Some sel ->
-      let cores = ref [] in
-      let subsumed asms =
-        List.exists
-          (fun core -> List.for_all (fun l -> List.memq l asms) core)
-          !cores
-      in
-      let rec try_fences = function
-        | [] ->
-          Ssv.Inc.retire enc r;
-          `Unsat
-        | fence :: rest -> (
-          if Stp_util.Deadline.expired deadline then `Unknown
-          else
-            match Ssv.Inc.fence_assumptions enc ~levels:(levels_of fence) with
-            | None -> try_fences rest
-            | Some fence_asms when subsumed fence_asms -> try_fences rest
-            | Some fence_asms -> (
-              match
-                Solver.solve ~assumptions:(sel :: fence_asms) ~deadline solver
-              with
-              | Solver.Sat -> `Sat (Ssv.Inc.decode enc ~r)
-              | Solver.Unsat -> (
-                match
-                  List.filter (fun l -> l <> sel) (Solver.unsat_core solver)
-                with
-                | [] ->
-                  (* refuted without fence assumptions: no [r]-gate
-                     chain under any topology *)
-                  Ssv.Inc.retire enc r;
-                  `Unsat
-                | core ->
-                  cores := core :: !cores;
-                  try_fences rest)
-              | Solver.Unknown -> `Unknown))
-      in
-      try_fences (fences_for ~options r)
-
-(* ABC, incremental: counterexample minterms accumulate across budgets —
-   refuting a budget on a minterm subset refutes it outright, and Sat
-   answers are verified by simulation. *)
+(* ABC lutexact analogue: CEGAR over minterms. Counterexample minterms
+   accumulate across budgets — refuting a budget on a minterm subset
+   refutes it outright, and Sat answers are verified by simulation. *)
 let abc_inc ~options ~deadline ~target =
   let solver = Solver.create () in
   let enc = Ssv.Inc.create ?basis:options.Spec.basis ~solver ~f:target () in
@@ -253,48 +156,25 @@ let abc_inc ~options ~deadline ~target =
       in
       refine ()
 
-(* Depth bounds are expressed through fence levels, so the flat BMS/ABC
-   encodings route through the fence engine when one is requested. *)
-let bms_stepper ~incremental ~options =
-  match (options.Spec.max_depth, incremental) with
-  | None, true -> bms_inc
-  | None, false -> bms_engine
-  | Some _, true -> fen_inc
-  | Some _, false -> fen_engine
-
-let fen_stepper ~incremental = if incremental then fen_inc else fen_engine
-
-let abc_stepper ~incremental ~options =
-  match (options.Spec.max_depth, incremental) with
-  | None, true -> abc_inc
-  | None, false -> abc_engine
-  | Some _, true -> fen_inc
-  | Some _, false -> fen_engine
-
 type engine =
-  ?incremental:bool ->
   ?options:Spec.options ->
   deadline:Stp_util.Deadline.t ->
   Tt.t ->
   Chain.t list Spec.outcome
 
-let bms ?(incremental = true) ?(options = Spec.default_options) ~deadline f =
-  run ~options ~deadline ~engine:(bms_stepper ~incremental ~options) f
+(* Depth bounds are expressed through fence levels, so the flat BMS/ABC
+   encodings route through the fence engine when one is requested. *)
+let with_depth_via_fen ~options stepper =
+  match options.Spec.max_depth with None -> stepper | Some _ -> fen_engine
 
-(* The shared-solver engines are the default where the A/B sweep in
-   [bench --sat] shows them winning: the flat BMS/ABC encodings reuse
-   learnt clauses across budgets at no structural cost. Fence
-   enumeration is different — its cold per-fence encodings are *smaller*
-   than the shared unrestricted instance (illegal selections never
-   exist, so watch lists stay short), and on the NPN4 sweep the shared
-   solver's ~25% conflict savings are outweighed by ~35% slower
-   propagation. FEN therefore defaults to the cold engine; pass
-   [~incremental:true] to study the shared-solver variant. *)
-let fen ?(incremental = false) ?(options = Spec.default_options) ~deadline f =
-  run ~options ~deadline ~engine:(fen_stepper ~incremental) f
+let bms ?(options = Spec.default_options) ~deadline f =
+  run ~options ~deadline ~engine:(with_depth_via_fen ~options bms_inc) f
 
-let abc ?(incremental = true) ?(options = Spec.default_options) ~deadline f =
-  run ~options ~deadline ~engine:(abc_stepper ~incremental ~options) f
+let fen ?(options = Spec.default_options) ~deadline f =
+  run ~options ~deadline ~engine:fen_engine f
+
+let abc ?(options = Spec.default_options) ~deadline f =
+  run ~options ~deadline ~engine:(with_depth_via_fen ~options abc_inc) f
 
 module Gate = Stp_chain.Gate
 

@@ -12,26 +12,20 @@
     All three return at most one chain — the paper contrasts this with
     the STP engine's all-solutions-in-one-pass.
 
-    {!bms} and {!abc} default to {e incremental}: one long-lived CDCL
-    solver per target, shared across the whole gate-budget sweep.
-    Budget-independent clauses (gate semantics, operators, simulation)
-    persist; each budget's closing constraints hang off a selector
-    literal assumed during its solves and retired by a unit clause once
-    the budget is refuted, so conflict clauses learnt refuting [r] gates
-    keep pruning at [r + 1]. FEN can run the same way — each fence
-    becomes an assumption set over the shared selection variables, and
-    refuted assumption cores prune later fences — but its cold
-    per-fence encodings are strictly smaller than the shared
-    unrestricted instance, and the NPN4 A/B (see [bench --sat] and
-    EXPERIMENTS.md) measures the shared solver as a net loss for fence
-    enumeration, so {!fen} defaults to the cold engine. Pass
-    [~incremental] explicitly to flip any engine onto the other path;
-    [~incremental:false] recovers the historical cold engines (fresh
-    solver and encoding per budget, and per fence for FEN) — the A/B
-    baseline used by [bench --sat]. *)
+    {!bms} and {!abc} run on one long-lived CDCL solver per target,
+    shared across the whole gate-budget sweep. Budget-independent
+    clauses (gate semantics, operators, simulation) persist; each
+    budget's closing constraints hang off a selector literal assumed
+    during its solves and retired by a unit clause once the budget is
+    refuted, so conflict clauses learnt refuting [r] gates keep pruning
+    at [r + 1]. {!fen} builds one fence-restricted encoding per fence on
+    a fresh solver: those encodings are strictly smaller than a shared
+    unrestricted instance, and a shared-solver FEN measured slower on
+    the NPN4 sweep (EXPERIMENTS.md). A depth bound
+    ([options.max_depth]) is expressed through fence levels, so
+    depth-bounded {!bms} and {!abc} run the {!fen} engine. *)
 
 type engine =
-  ?incremental:bool ->
   ?options:Spec.options ->
   deadline:Stp_util.Deadline.t ->
   Stp_tt.Tt.t ->

@@ -18,7 +18,8 @@ type spec = {
   options : Spec.options;
   memo : Factor.memo option;
       (** reusable factorisation memo; engines that cannot use one
-          ignore it *)
+          ignore it, and {!stp} raises [Invalid_argument] when its
+          basis differs from [options.basis] *)
 }
 
 val spec : ?options:Spec.options -> ?memo:Factor.memo -> Stp_tt.Tt.t -> spec

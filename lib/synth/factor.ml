@@ -148,21 +148,21 @@ type memo = {
 let full_basis =
   List.fold_left (fun m g -> m lor (1 lsl g)) 0 Gate.nontrivial
 
+let basis_mask ~what = function
+  | None -> full_basis
+  | Some gates ->
+    let m =
+      List.fold_left
+        (fun m g ->
+          if g < 0 || g > 15 then invalid_arg (what ^ ": basis");
+          m lor (1 lsl g))
+        0 gates
+    in
+    (* degenerate codes never appear in optimal chains; mask them out *)
+    m land full_basis
+
 let create_memo ?basis () : memo =
-  let basis =
-    match basis with
-    | None -> full_basis
-    | Some gates ->
-      let m =
-        List.fold_left
-          (fun m g ->
-            if g < 0 || g > 15 then invalid_arg "Factor.create_memo: basis";
-            m lor (1 lsl g))
-          0 gates
-      in
-      (* degenerate codes never appear in optimal chains; mask them out *)
-      m land full_basis
-  in
+  let basis = basis_mask ~what:"Factor.create_memo" basis in
   if basis = 0 then invalid_arg "Factor.create_memo: empty basis";
   { factorisations = FactTbl.create 997;
     feasibility = FeasTbl.create 997;
@@ -173,6 +173,9 @@ let create_memo ?basis () : memo =
     learned = LearnTbl.create 997;
     quarters = QTbl.create 997;
     basis }
+
+let memo_has_basis memo basis =
+  memo.basis = basis_mask ~what:"Factor.memo_has_basis" basis
 
 type stats = {
   mutable decompose_calls : int;

@@ -46,6 +46,12 @@ val create_memo : ?basis:Stp_chain.Gate.code list -> unit -> memo
     [[1; 2; 4; 7; 8; 11; 13; 14]] for AIG-style synthesis.
     @raise Invalid_argument on an empty effective basis. *)
 
+val memo_has_basis : memo -> Stp_chain.Gate.code list option -> bool
+(** [memo_has_basis memo basis] holds when [memo] was created for the
+    same effective basis as [create_memo ?basis ()] would use
+    (degenerate codes ignored, [None] meaning all ten nontrivial
+    gates). *)
+
 val decompose :
   ?memo:memo ->
   ?g_fixed:Stp_tt.Tt.t ->

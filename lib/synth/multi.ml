@@ -14,60 +14,36 @@ let check_outputs fs =
     fs;
   n
 
-let exact ?(incremental = true) ?(options = Spec.default_options) ~deadline fs =
+module Enc = Stp_encodings.Ssv_multi.Inc
+
+let exact ?(options = Spec.default_options) ~deadline fs =
   ignore (check_outputs fs);
   if options.Spec.max_depth <> None then
     invalid_arg "Multi.exact: depth bounds are not supported";
-  let solved mc =
-    let sims = Mchain.simulate mc in
-    Array.iteri (fun k f -> assert (Tt.equal sims.(k) f)) fs;
-    Spec.Solved mc
-  in
   let lower =
     Array.fold_left (fun acc f -> max acc (Tt.support_size f - 1)) 1 fs
   in
-  (* One budget per step: incremental keeps a single solver whose gate
-     pool only grows; each budget's closing constraints ride on a
-     selector retired once the budget is refuted. *)
-  let step =
-    if incremental then begin
-      let solver = Solver.create () in
-      let enc =
-        Stp_encodings.Ssv_multi.Inc.create ?basis:options.Spec.basis ~solver
-          ~fs ()
-      in
-      fun r ->
-        match Stp_encodings.Ssv_multi.Inc.budget_selector enc r with
-        | None -> `Unsat
-        | Some sel -> (
-          match Solver.solve ~assumptions:[ sel ] ~deadline solver with
-          | Solver.Unsat ->
-            Stp_encodings.Ssv_multi.Inc.retire enc r;
-            `Unsat
-          | Solver.Unknown -> `Unknown
-          | Solver.Sat -> `Sat (Stp_encodings.Ssv_multi.Inc.decode enc ~r))
-    end
-    else
-      fun r ->
-        let solver = Solver.create () in
-        match
-          Stp_encodings.Ssv_multi.build ?basis:options.Spec.basis ~solver ~fs
-            ~r ()
-        with
-        | None -> `Unsat
-        | Some enc -> (
-          match Solver.solve ~deadline solver with
-          | Solver.Unsat -> `Unsat
-          | Solver.Unknown -> `Unknown
-          | Solver.Sat -> `Sat (Stp_encodings.Ssv_multi.decode enc))
-  in
+  (* One solver whose gate pool only grows; each budget's closing
+     constraints ride on a selector retired once the budget is
+     refuted. *)
+  let solver = Solver.create () in
+  let enc = Enc.create ?basis:options.Spec.basis ~solver ~fs () in
   let rec loop r =
     if r > options.Spec.max_gates then Spec.Infeasible
     else
-      match step r with
-      | `Unsat -> loop (r + 1)
-      | `Unknown -> Spec.Timeout
-      | `Sat mc -> solved mc
+      match Enc.budget_selector enc r with
+      | None -> loop (r + 1)
+      | Some sel -> (
+        match Solver.solve ~assumptions:[ sel ] ~deadline solver with
+        | Solver.Unsat ->
+          Enc.retire enc r;
+          loop (r + 1)
+        | Solver.Unknown -> Spec.Timeout
+        | Solver.Sat ->
+          let mc = Enc.decode enc ~r in
+          let sims = Mchain.simulate mc in
+          Array.iteri (fun k f -> assert (Tt.equal sims.(k) f)) fs;
+          Spec.Solved mc)
   in
   loop lower
 

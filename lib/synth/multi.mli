@@ -9,16 +9,14 @@
     output. *)
 
 val exact :
-  ?incremental:bool ->
   ?options:Spec.options ->
   deadline:Stp_util.Deadline.t ->
   Stp_tt.Tt.t array ->
   Stp_chain.Mchain.t Spec.outcome
 (** Size-optimal multi-output chain via the multi-output SSV encoding on
     the CDCL solver — exact, one solution. Outputs must share one
-    arity. Incremental by default: one solver spans the whole gate-budget
-    sweep, with per-budget selector literals ({!Stp_encodings.Ssv_multi.Inc});
-    [~incremental:false] rebuilds solver and encoding per budget.
+    arity. One solver spans the whole gate-budget sweep, with per-budget
+    selector literals ({!Stp_encodings.Ssv_multi.Inc}).
     @raise Invalid_argument when [options.max_depth] is set: the
     multi-output encoding has no depth constraints. *)
 

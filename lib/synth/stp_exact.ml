@@ -179,6 +179,10 @@ let synthesize_reduced ~options ~deadline ~memo target =
   synth ~options ~deadline ~memo ~stats ~cache target
 
 let synthesize ?(options = Spec.default_options) ?memo ~deadline f =
+  (match memo with
+   | Some m when not (Factor.memo_has_basis m options.Spec.basis) ->
+     invalid_arg "Stp_exact.synthesize: memo basis differs from options.basis"
+   | _ -> ());
   if Tt.is_const f then Spec.Infeasible
   else
     match Common.prepare f with

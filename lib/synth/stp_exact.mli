@@ -22,6 +22,7 @@ val synthesize :
 
     [memo] lets a caller reuse one {!Factor.memo} across many targets
     (a collection run): reuse only speeds the search up, it never
-    changes results. The memo's basis must match [options.basis], and a
-    memo must never be shared between domains. For reuse across the
-    members of an NPN class, see {!Npn_cache}. *)
+    changes results. A memo must never be shared between domains. For
+    reuse across the members of an NPN class, see {!Npn_cache}.
+    @raise Invalid_argument when [memo] was created for a different
+    basis than [options.basis] ({!Factor.memo_has_basis}). *)

@@ -60,46 +60,51 @@ let test_decoded_chains_random () =
   done;
   Alcotest.(check bool) "solved most" true (!solved > 5)
 
+(* [Ssv.Inc] over [f] with only [minterms] encoded, and the selector of
+   budget [r]. *)
+let inc_with_minterms ~solver ~f ~minterms ~r =
+  let inc = Ssv.Inc.create ~solver ~f () in
+  List.iter (Ssv.Inc.add_minterm inc) minterms;
+  match Ssv.Inc.budget_selector inc r with
+  | None -> Alcotest.fail "feasible"
+  | Some sel -> (inc, sel)
+
 let test_minterm_restriction () =
   (* with a single encoded minterm the problem is underconstrained: a
      chain is found but need not compute f everywhere *)
   let f = Tt.of_hex ~n:3 "96" in
   let solver = Solver.create () in
-  match Ssv.build ~minterms:[ 1 ] ~solver ~f ~r:2 () with
-  | None -> Alcotest.fail "feasible"
-  | Some enc -> (
-    Alcotest.(check (list int)) "one minterm" [ 1 ] (Ssv.encoded_minterms enc);
-    match Solver.solve solver with
-    | Solver.Sat ->
-      let chain = Ssv.decode enc in
-      Alcotest.(check bool) "agrees on encoded minterm" true
-        (Tt.get (Chain.simulate chain) 1 = Tt.get f 1)
-    | _ -> Alcotest.fail "restricted encoding must be sat")
+  let inc, sel = inc_with_minterms ~solver ~f ~minterms:[ 1 ] ~r:2 in
+  Alcotest.(check (list int)) "one minterm" [ 1 ] (Ssv.Inc.encoded_minterms inc);
+  match Solver.solve ~assumptions:[ sel ] solver with
+  | Solver.Sat ->
+    let chain = Ssv.Inc.decode inc ~r:2 in
+    Alcotest.(check bool) "agrees on encoded minterm" true
+      (Tt.get (Chain.simulate chain) 1 = Tt.get f 1)
+  | _ -> Alcotest.fail "restricted encoding must be sat"
 
 let test_cegar_refinement () =
   (* adding minterms one at a time must converge to a correct chain *)
   let f = Tt.of_hex ~n:3 "e8" in
   let solver = Solver.create () in
-  match Ssv.build ~minterms:[ 3 ] ~solver ~f ~r:4 () with
-  | None -> Alcotest.fail "feasible"
-  | Some enc ->
-    let rec refine budget =
-      if budget = 0 then Alcotest.fail "no convergence"
-      else
-        match Solver.solve solver with
-        | Solver.Sat ->
-          let chain = Ssv.decode enc in
-          let sim = Chain.simulate chain in
-          if Tt.equal sim f then ()
-          else begin
-            let diff = Tt.bxor sim f in
-            let rec first m = if Tt.get diff m then m else first (m + 1) in
-            Ssv.add_minterm enc (first 0);
-            refine (budget - 1)
-          end
-        | _ -> Alcotest.fail "must stay sat at 4 gates"
-    in
-    refine 16
+  let inc, sel = inc_with_minterms ~solver ~f ~minterms:[ 3 ] ~r:4 in
+  let rec refine budget =
+    if budget = 0 then Alcotest.fail "no convergence"
+    else
+      match Solver.solve ~assumptions:[ sel ] solver with
+      | Solver.Sat ->
+        let chain = Ssv.Inc.decode inc ~r:4 in
+        let sim = Chain.simulate chain in
+        if Tt.equal sim f then ()
+        else begin
+          let diff = Tt.bxor sim f in
+          let rec first m = if Tt.get diff m then m else first (m + 1) in
+          Ssv.Inc.add_minterm inc (first 0);
+          refine (budget - 1)
+        end
+      | _ -> Alcotest.fail "must stay sat at 4 gates"
+  in
+  refine 16
 
 let test_fence_levels_restrict () =
   let xor3 = Tt.of_hex ~n:3 "96" in
@@ -178,41 +183,6 @@ let test_inc_matches_fresh () =
   done;
   Alcotest.(check bool) "exercised" true (!agreed > 5)
 
-(* Fence assumption sets over the shared encoding must accept exactly
-   the fences the baked-in [~levels] encoding accepts. *)
-let test_inc_fence_assumptions_match_baked () =
-  let xor3 = Tt.of_hex ~n:3 "96" in
-  let solver = Solver.create () in
-  let inc = Ssv.Inc.create ~solver ~f:xor3 () in
-  for m = 1 to 7 do
-    Ssv.Inc.add_minterm inc m
-  done;
-  match Ssv.Inc.budget_selector inc 2 with
-  | None -> Alcotest.fail "budget 2 must be feasible"
-  | Some sel ->
-    let try_fence levels =
-      match Ssv.Inc.fence_assumptions inc ~levels with
-      | None -> `Infeasible
-      | Some asms -> (
-        match Solver.solve ~assumptions:(sel :: asms) solver with
-        | Solver.Sat -> `Sat (Ssv.Inc.decode inc ~r:2)
-        | Solver.Unsat -> `Unsat
-        | Solver.Unknown -> `Unknown)
-    in
-    (match try_fence [| 1; 2 |] with
-     | `Sat chain ->
-       Alcotest.(check bool) "fence chain computes xor3" true
-         (Tt.equal (Chain.simulate chain) xor3)
-     | _ -> Alcotest.fail "two-level fence must admit the xor chain");
-    (match try_fence [| 1; 1 |] with
-     | `Sat _ -> Alcotest.fail "flat fence cannot realise xor3"
-     | `Unsat | `Infeasible -> ()
-     | `Unknown -> Alcotest.fail "unknown");
-    (* the same instance still solves unrestricted afterwards *)
-    (match Solver.solve ~assumptions:[ sel ] solver with
-     | Solver.Sat -> ()
-     | _ -> Alcotest.fail "unrestricted budget 2 must stay sat")
-
 let test_optimum_matches_paper_examples () =
   (* 0x8ff8 has a 3-gate optimum (Example 7) *)
   let f = Tt.of_hex ~n:4 "8ff8" in
@@ -238,6 +208,4 @@ let () =
           Alcotest.test_case "paper example optimum" `Quick
             test_optimum_matches_paper_examples ] );
       ( "ssv-inc",
-        [ Alcotest.test_case "inc matches fresh" `Slow test_inc_matches_fresh;
-          Alcotest.test_case "fence assumptions match baked" `Quick
-            test_inc_fence_assumptions_match_baked ] ) ]
+        [ Alcotest.test_case "inc matches fresh" `Slow test_inc_matches_fresh ] ) ]

@@ -8,6 +8,7 @@ module Engine = Stp_synth.Engine
 module Multi = Stp_synth.Multi
 module Stp_exact = Stp_synth.Stp_exact
 module Baselines = Stp_synth.Baselines
+module Factor = Stp_synth.Factor
 module Deadline = Stp_util.Deadline
 module Prng = Stp_util.Prng
 
@@ -124,6 +125,28 @@ let test_xor_basis () =
     { (options ~basis:[ 6; 9 ] ()) with Spec.max_gates = 5 }
     (Tt.of_hex ~n:2 "8")
 
+let test_memo_basis_mismatch () =
+  (* a memo carries its own basis: one built for another basis than
+     [options.basis] must be rejected, not searched with *)
+  let and2 = Tt.of_hex ~n:2 "8" in
+  let options = { (options ~basis:[ 6; 9 ] ()) with Spec.max_gates = 5 } in
+  let via_engine memo =
+    let (module E : Engine.S) = Engine.stp in
+    E.synthesize (Engine.spec ~options ~memo and2) ~deadline:(deadline ())
+  in
+  let mismatch =
+    Invalid_argument
+      "Stp_exact.synthesize: memo basis differs from options.basis"
+  in
+  Alcotest.check_raises "default memo, xor basis" mismatch (fun () ->
+      ignore
+        (Stp_exact.synthesize ~options ~memo:(Factor.create_memo ())
+           ~deadline:(deadline ()) and2));
+  Alcotest.check_raises "default memo through Engine.stp" mismatch (fun () ->
+      ignore (via_engine (Factor.create_memo ())));
+  Alcotest.(check string) "matching memo refutes AND2" "infeasible"
+    (Engine.outcome_label (via_engine (Factor.create_memo ~basis:[ 6; 9 ] ())))
+
 (* --- depth bounds --- *)
 
 let test_depth_bound_xor3 () =
@@ -157,11 +180,17 @@ let test_depth_engines_agree () =
   let bms =
     chains_of "bms(depth->fen)" (Baselines.bms ~options:o ~deadline:(deadline ()) f)
   in
+  let abc =
+    chains_of "abc(depth->fen)" (Baselines.abc ~options:o ~deadline:(deadline ()) f)
+  in
   Alcotest.(check int) "stp=fen" (gates_of fen) (gates_of stp);
   Alcotest.(check int) "stp=bms" (gates_of bms) (gates_of stp);
+  Alcotest.(check int) "stp=abc" (gates_of abc) (gates_of stp);
   List.iter
-    (fun c -> Alcotest.(check bool) "depth bound" true (Chain.depth c <= 3))
-    (stp @ fen @ bms)
+    (fun c ->
+      Alcotest.(check bool) "depth bound" true (Chain.depth c <= 3);
+      Alcotest.(check bool) "computes f" true (Tt.equal (Chain.simulate c) f))
+    (stp @ fen @ bms @ abc)
 
 (* --- DSD peeling ablation --- *)
 
@@ -197,7 +226,9 @@ let () =
           Alcotest.test_case "aig vs free" `Slow test_aig_vs_unrestricted;
           Alcotest.test_case "aig agreement with bms" `Slow
             test_basis_agreement_with_bms;
-          Alcotest.test_case "xor basis" `Quick test_xor_basis ] );
+          Alcotest.test_case "xor basis" `Quick test_xor_basis;
+          Alcotest.test_case "memo basis must match" `Quick
+            test_memo_basis_mismatch ] );
       ( "dsd",
         [ Alcotest.test_case "peeling on/off agree" `Slow test_dsd_off_agrees ] );
       ( "depth",

@@ -467,45 +467,28 @@ let test_constant_rejected () =
     [ Tt.zero 3; Tt.one 3 ]
 
 let test_engines_agree_random () =
-  (* On random 3-input functions every engine must report the same
-     optimum gate count. *)
+  (* On random 3-input functions every baseline must report the same
+     optimum gate count as the STP engine, with a chain that computes
+     the target. *)
   let rng = Prng.create 51 in
   for _ = 1 to 15 do
     let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
     if Tt.support_size f >= 1 then begin
       let stp = chains_of "stp" (stp f) in
-      let bms =
-        chains_of "bms" (Baselines.bms ~deadline:(Deadline.after 30.0) f)
-      in
-      Alcotest.(check int) "same optimum" (gates_of bms) (gates_of stp)
-    end
-  done
-
-let test_cold_incremental_agree () =
-  (* The shared-solver and cold paths of every baseline must report the
-     same optimum, and both decoded chains must compute the target. *)
-  let rng = Prng.create 86 in
-  for _ = 1 to 8 do
-    let f = Tt.of_fun 3 (fun _ -> Prng.bool rng) in
-    if Tt.support_size f >= 1 then
       List.iter
         (fun (name, (engine : Baselines.engine)) ->
-          let run incremental =
-            engine ~incremental ~deadline:(Deadline.after 30.0) f
+          let chains =
+            chains_of name (engine ~deadline:(Deadline.after 30.0) f)
           in
-          let cold = chains_of (name ^ " cold") (run false) in
-          let inc = chains_of (name ^ " incremental") (run true) in
-          Alcotest.(check int)
-            (name ^ " optimum agrees")
-            (gates_of cold) (gates_of inc);
+          Alcotest.(check int) (name ^ " same optimum") (gates_of stp)
+            (gates_of chains);
           List.iter
             (fun c ->
-              Alcotest.(check bool)
-                (name ^ " incremental chain correct")
-                true
+              Alcotest.(check bool) (name ^ " chain correct") true
                 (Tt.equal (Chain.simulate c) f))
-            inc)
+            chains)
         baselines
+    end
   done
 
 let test_all_solutions_distinct_and_verified () =
@@ -797,6 +780,4 @@ let () =
             test_verify_calls_do_not_share ] );
       ( "baselines",
         [ Alcotest.test_case "known optima" `Slow test_baselines_known_optima;
-          Alcotest.test_case "engines agree" `Slow test_engines_agree_random;
-          Alcotest.test_case "cold vs incremental" `Slow
-            test_cold_incremental_agree ] ) ]
+          Alcotest.test_case "engines agree" `Slow test_engines_agree_random ] ) ]
